@@ -13,7 +13,8 @@ Conventions fixed here: mu(1) = 1, omega(1) = 0, M(0) = 0.
 
 The Jordan totient array J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2)
 and sum_{d|k} J2(d) = k**2, is built on demand via ``build_jordan2``; it
-backs the gcd-grouped acceleration of the correlation double sum.
+backs the per-N gcd-grouped double sum ``correlation_double_sum_fast``
+(the incremental sweeps build their own J2 up to their n_max).
 
 A built table is immutable by convention and safe to share across
 threads; every function here is a pure read of the arrays.

@@ -17,7 +17,8 @@ yields byte-identical bytes on every run.
 
 The sieve cache path comes from --cache, falling back to the
 FRACLAB_CACHE environment variable; an unreadable or undersized cache
-is ignored with a warning and the sieve is rebuilt (and re-saved).
+is ignored with a warning and the sieve is rebuilt (and re-saved).  A
+larger cache is cut to --limit, so output never depends on the cache.
 """
 
 from __future__ import annotations
@@ -79,7 +80,13 @@ def _get_table(config: RunConfig, needed: int) -> MoebiusTable:
             _warn(f"ignoring sieve cache: {exc}")
         else:
             if cached.limit >= limit:
-                return cached
+                end = limit + 1
+                return MoebiusTable(
+                    limit=limit,
+                    mu=cached.mu[:end],
+                    mertens=cached.mertens[:end],
+                    squarefree=cached.squarefree[:end],
+                )
             _warn(
                 f"sieve cache at {path} only reaches {cached.limit}; rebuilding to {limit}"
             )
@@ -170,8 +177,6 @@ def cmd_sine_series(config: RunConfig, x: float, n_max: int, points: int) -> int
 def cmd_series(config: RunConfig, n_max: int, exact_mode: bool, naive: bool) -> int:
     table = _get_table(config, n_max)
     fast = config.jordan_fast_path and not naive
-    if fast:
-        build_jordan2(table)
     points = series.correlation_double_sum_sweep(
         table, n_max, fast=fast, exact=exact_mode
     )
@@ -187,8 +192,6 @@ def cmd_figure1(config: RunConfig) -> int:
 
 def cmd_figure2(config: RunConfig, n_max: int) -> int:
     table = _get_table(config, n_max)
-    if config.jordan_fast_path:
-        build_jordan2(table)
     _emit(
         config,
         figures.figure2_csv(
@@ -338,6 +341,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_figure2(config, args.n_max)
         if args.command == "tails":
             cutoffs = sorted({int(v) for v in args.cutoffs.split(",") if v.strip()})
+            if not cutoffs or cutoffs[0] < 1:
+                raise ConfigError(
+                    f"--cutoffs needs one or more integers >= 1, got {args.cutoffs!r}"
+                )
             return cmd_tails(config, cutoffs, args.c)
         if args.command == "verify":
             only = None

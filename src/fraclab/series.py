@@ -27,8 +27,14 @@ which costs O(N log N).  The fast route leans on the closed-form
 correlation law, so its exact-mode agreement with the direct route is a
 real consistency check, not bookkeeping.
 
-Float paths accumulate in ascending index order through ``math.fsum``
-(exactly rounded), so results are deterministic run to run.
+Float results are deterministic run to run.  The float fast sweep keeps
+P, D, A_d and G as integers scaled by FIXED_POINT_SCALE = 2**128 and ends
+each row in one int/int true division, which Python rounds correctly.
+Its truncation error, below N log N 2**-128, is far under half an ulp of
+S(N), so a row is the correctly rounded value of the exact S(N) unless
+S(N) lies that close to a rounding boundary (the tests check every
+N <= 2000).  The other float paths accumulate in ascending index order
+through ``math.fsum`` (exactly rounded).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +62,12 @@ DIRECT_EXACT_LIMIT = 300
 
 #: guard for the O(N^2)-per-point squared-identity check
 SQUARED_IDENTITY_LIMIT = 500
+
+#: fixed-point scale of the float fast sweep
+FIXED_POINT_SCALE = 2**128
+
+#: terms per chunk of the sine series, which bounds its working memory
+SINE_CHUNK = 1 << 16
 
 _TWO_PI = 2.0 * math.pi
 
@@ -97,10 +109,17 @@ def sawtooth_fourier_partial(K: int, x: float) -> float:
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
     """-pi sum_{n<=N} mu(n)/n {nx}, the truncated sine series."""
     table._check_index(N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    frac = (n * x) % 1.0
-    terms = table.mu[1 : N + 1].astype(np.float64) / n * frac
-    return -math.pi * math.fsum(terms.tolist())
+    return -math.pi * math.fsum(_sine_terms(table, N, x))
+
+
+def _sine_terms(table: MoebiusTable, N: int, x: float) -> Iterator[float]:
+    # mu(n)/n {nx} for n = 1..N, built SINE_CHUNK terms at a time; each
+    # term is computed elementwise, so chunking does not change its bits
+    for start in range(1, N + 1, SINE_CHUNK):
+        stop = min(start + SINE_CHUNK, N + 1)
+        n = np.arange(start, stop, dtype=np.float64)
+        frac = (n * x) % 1.0
+        yield from (table.mu[start:stop].astype(np.float64) / n * frac).tolist()
 
 
 def sine_series_residual(table: MoebiusTable, N: int, x: float) -> float:
@@ -163,16 +182,39 @@ def correlation_double_sum(
     return SeriesPoint(N=N, X=x_range, value=math.fsum(contribs))
 
 
-def _divisors(n: int) -> List[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _spf_jordan2(n_max: int) -> Tuple[List[int], List[int]]:
+    """Smallest prime factor and J2 of every n <= n_max, one linear sieve.
+
+    J2 is multiplicative with J2(p^k) = p^(2k) - p^(2k-2), so crossing
+    off i*p through its smallest prime factor p multiplies J2(i) by p^2
+    when p divides i and by p^2 - 1 otherwise.
+    """
+    spf = [0] * (n_max + 1)
+    j2 = [0] * (n_max + 1)
+    j2[1] = 1
+    primes: List[int] = []
+    for i in range(2, n_max + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+            j2[i] = i * i - 1
+        si = spf[i]
+        for p in primes:
+            ip = i * p
+            if p > si or ip > n_max:
+                break
+            spf[ip] = p
+            j2[ip] = j2[i] * (p * p if p == si else p * p - 1)
+    return spf, j2
+
+
+def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
+    divs = [1]
+    while n > 1:
+        p = spf[n]
+        divs += [d * p for d in divs]
+        n //= p
+    return divs
 
 
 def correlation_double_sum_fast(
@@ -210,6 +252,43 @@ def correlation_double_sum_fast(
     return SeriesPoint(N=N, X=x_range, value=value)
 
 
+def _fast_sweep(
+    table: MoebiusTable, n_max: int, exact: bool, x_range: int
+) -> List[SeriesPoint]:
+    if exact:
+        scale = 1
+        term = Fraction
+    else:
+        scale = FIXED_POINT_SCALE
+
+        def term(num: int, den: int) -> int:
+            # num * scale / den rounded to the nearest integer
+            return (2 * num * scale + den) // (2 * den)
+
+    mu = table.mu[: n_max + 1].tolist()
+    spf, j2 = _spf_jordan2(n_max)
+    four_scale = 4 * scale
+    row_den = 12 * scale * scale
+    P = D = G = 0
+    A = [0] * (n_max + 1)
+    points: List[SeriesPoint] = []
+    for n in range(1, n_max + 1):
+        if mu[n]:
+            nn = n * n
+            P += term(mu[n], n)
+            delta = term(mu[n], nn)
+            D += abs(delta)
+            divs = _squarefree_divisors(n, spf)
+            # A_d += delta for d | n; as sum_{d|n} J2(d) = n^2, that moves
+            # G = sum_d J2(d) A_d^2 by delta * (2 sum_{d|n} J2(d) A_d + n^2 delta)
+            G += delta * (2 * sum(j2[d] * A[d] for d in divs) + nn * delta)
+            for d in divs:
+                A[d] += delta
+            value = (3 * P * P + G - four_scale * D) / row_den
+        points.append(SeriesPoint(N=n, X=x_range, value=value))
+    return points
+
+
 def correlation_double_sum_sweep(
     table: MoebiusTable,
     n_max: int,
@@ -220,39 +299,18 @@ def correlation_double_sum_sweep(
     """S(N) for every N = 1..n_max, computed incrementally.
 
     Exact modes accumulate Fractions, so each sweep entry equals the
-    corresponding single-N call identically.  The float fast sweep just
-    evaluates per N (the direct evaluation is already cheap); the float
-    direct sweep shares pair work across N and re-sums the prefix with
-    fsum for each point.
+    corresponding single-N call identically.  Both fast sweeps run one
+    loop: each new square-free n updates P, D, G and A_d for every d | n,
+    with divisors and J2 from a smallest-prime-factor sieve to n_max, so
+    they do not read ``table.jordan2``.  The float fast sweep carries the
+    sums as integers scaled by FIXED_POINT_SCALE and rounds each row
+    once.  The float direct sweep shares pair work across N and re-sums
+    the prefix with fsum for each point.
     """
     table._check_index(n_max)
-    points: List[SeriesPoint] = []
     if fast:
-        if not exact:
-            return [
-                correlation_double_sum_fast(table, N, exact=False, x_range=x_range)
-                for N in range(1, n_max + 1)
-            ]
-        if table.jordan2 is None:
-            raise RuntimeError("fast double sum needs jordan2; call build_jordan2 first")
-        P = Fraction(0)
-        D = Fraction(0)
-        G = Fraction(0)
-        A: dict[int, Fraction] = {}
-        for n in range(1, n_max + 1):
-            mun = int(table.mu[n])
-            if mun:
-                P += Fraction(mun, n)
-                D += Fraction(1, n * n)
-                delta = Fraction(mun, n * n)
-                for d in _divisors(n):
-                    old = A.get(d, Fraction(0))
-                    G += jordan2(table, d) * delta * (2 * old + delta)
-                    A[d] = old + delta
-            points.append(
-                SeriesPoint(N=n, X=x_range, value=P * P / 4 + G / 12 - D / 3)
-            )
-        return points
+        return _fast_sweep(table, n_max, exact, x_range)
+    points: List[SeriesPoint] = []
     if exact and n_max > DIRECT_EXACT_LIMIT:
         raise ValueError(
             f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"

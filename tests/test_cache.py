@@ -96,3 +96,24 @@ def test_env_var_supplies_cache_path(tmp_path, monkeypatch, capsys):
     assert cli.main(["sieve", "--limit", "300", "--cache", str(flag_path)]) == 0
     capsys.readouterr()
     assert flag_path.exists()
+
+
+def test_cli_larger_cache_cut_to_limit(tmp_path, capsys):
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(20000), path)
+    before = path.read_bytes()
+    rc = cli.main(["sieve", "--limit", "1000", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "limit,1000\nmertens,2\nsquarefree_count,608\n"
+    assert path.read_bytes() == before  # cut in memory, not re-saved
+
+
+def test_cli_tails_bytes_independent_of_cache(tmp_path, capsys):
+    args = ["tails", "--cutoffs", "100,1000,5000", "--limit", "5000"]
+    assert cli.main(args) == 0
+    without = capsys.readouterr().out
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(20000), path)
+    assert cli.main(args + ["--cache", str(path)]) == 0
+    assert capsys.readouterr().out == without

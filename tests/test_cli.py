@@ -4,7 +4,8 @@ from importlib import resources
 
 import pytest
 
-from fraclab import cli
+from fraclab import cli, series
+from fraclab.formatting import format_decimal
 
 
 def run_cli(args, capsys):
@@ -88,6 +89,22 @@ def test_tails_csv(capsys):
     assert lines[0] == "N,mertens_ratio,tail_u2,tail_u1,bound_fit"
     assert len(lines) == 3
     assert lines[1].startswith("100,0.01,")
+
+
+def test_series_rows_correctly_rounded(capsys, table6):
+    rc, out, _ = run_cli(["series", "--n-max", "2000"], capsys)
+    assert rc == 0
+    values = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
+    exact = series.correlation_double_sum_sweep(table6, 2000, fast=True, exact=True)
+    assert values == [format_decimal(float(p.value)) for p in exact]
+
+
+@pytest.mark.parametrize("cutoffs", ["0,10", ""])
+def test_tails_bad_cutoffs_rejected(capsys, cutoffs):
+    rc, out, err = run_cli(["tails", "--cutoffs", cutoffs, "--limit", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("fraclab: error: --cutoffs")
 
 
 def test_preflight_limit_error(capsys):

@@ -1,5 +1,6 @@
 """Series partial sums: sine series, double sum routes, identities."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import fraclab
+from fraclab import series
 from fraclab.series import DIRECT_EXACT_LIMIT, DOUBLE_SUM_LIMIT
 
 
@@ -38,6 +40,14 @@ def test_sine_series_single_term(table4):
 
 def test_sine_series_converges_slowly(table6):
     assert abs(fraclab.sine_series_partial(table6, 10**5, 0.25) - 1.0) < 1e-2
+
+
+def test_sine_series_chunks_sum_like_one_array(table6):
+    N, x = 3 * series.SINE_CHUNK + 1234, 0.3
+    n = np.arange(1, N + 1, dtype=np.float64)
+    terms = table6.mu[1 : N + 1].astype(np.float64) / n * ((n * x) % 1.0)
+    expected = -math.pi * math.fsum(terms.tolist())
+    assert fraclab.sine_series_partial(table6, N, x) == expected
 
 
 def test_residual_is_definitional(table4):
@@ -85,6 +95,27 @@ def test_double_sum_routes_agree_exactly(table4):
     spot = fraclab.correlation_double_sum(table4, 60, exact=True).value
     assert spot == direct[-1].value
     assert fraclab.correlation_double_sum_fast(table4, 60, exact=True).value == spot
+
+
+def test_float_fast_sweep_is_correctly_rounded(table4):
+    floats = fraclab.correlation_double_sum_sweep(table4, 1000, fast=True, exact=False)
+    exact = fraclab.correlation_double_sum_sweep(table4, 1000, fast=True, exact=True)
+    assert [p.value for p in floats] == [float(p.value) for p in exact]
+
+
+def test_fast_sweeps_need_no_jordan_table(table4):
+    bare = dataclasses.replace(table4, jordan2=None)
+    exact = fraclab.correlation_double_sum_sweep(bare, 200, fast=True, exact=True)
+    floats = fraclab.correlation_double_sum_sweep(bare, 200, fast=True, exact=False)
+    for N in (1, 97, 200):
+        spot = fraclab.correlation_double_sum_fast(table4, N, exact=True).value
+        assert exact[N - 1].value == spot
+        assert floats[N - 1].value == float(spot)
+
+
+def test_sweep_jordan2_matches_build_jordan2(table4):
+    _, j2 = series._spf_jordan2(5000)
+    assert j2 == table4.jordan2[:5001].tolist()
 
 
 def test_exact_direct_guard(table4):
