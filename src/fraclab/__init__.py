@@ -11,7 +11,6 @@ integrals.  See the ``fraclab`` command for the CSV front end and the
 
 from .arithmetic import (
     MoebiusTable,
-    Rational,
     build_jordan2,
     build_tables,
     jordan2,
@@ -27,6 +26,7 @@ from .exact import (
     correlation_closed_form,
     cross_moment,
     exact_correlation,
+    exact_correlations,
     expected_correlation,
     floor_second_moment,
     mean_square_fractional,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MoebiusTable",
-    "Rational",
     "build_jordan2",
     "build_tables",
     "jordan2",
@@ -74,6 +73,7 @@ __all__ = [
     "correlation_closed_form",
     "cross_moment",
     "exact_correlation",
+    "exact_correlations",
     "expected_correlation",
     "floor_second_moment",
     "mean_square_fractional",

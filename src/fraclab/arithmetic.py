@@ -50,8 +50,6 @@ SQUAREFREE_DENSITY = 1.0 / ZETA2  # 6/pi^2
 
 CACHE_MAGIC = b"MUV1"
 
-Rational = Fraction
-
 
 @dataclass
 class MoebiusTable:
@@ -216,9 +214,9 @@ def squarefree_zeta2_partial(
     if exact is None:
         exact = N <= EXACT_SUM_LIMIT
     if exact:
-        L = math.lcm(*range(1, N + 1))
-        num = sum((L // n) ** 2 for n in range(1, N + 1) if table.mu[n] != 0)
-        return Fraction(num, L * L)
+        Q = math.lcm(*range(1, N + 1)) ** 2
+        num = sum(Q // (n * n) for n in range(1, N + 1) if table.mu[n] != 0)
+        return Fraction(num, Q)
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.squarefree[1 : N + 1].astype(np.float64) / (n * n)
     return math.fsum(terms.tolist())

@@ -12,8 +12,10 @@ Subcommands:
     verify       run the 12 built-in acceptance criteria
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 I/O error.  CSV output is deterministic: a fixed configuration
-yields byte-identical bytes on every run.
+error, 3 I/O error, 4 internal error (an identity the engine checks on
+its own results failed; a bug, not bad input).  CSV output is
+deterministic: a fixed configuration yields byte-identical bytes on
+every run.
 
 The sieve cache path comes from --cache, falling back to the
 FRACLAB_CACHE environment variable; an unreadable or undersized cache
@@ -352,6 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 only = [int(v) for v in args.only.split(",") if v.strip()]
             return cmd_verify(config, only)
         parser.error(f"unknown command {args.command}")
+    except AssertionError as exc:
+        print(f"fraclab: internal error: {exc}", file=sys.stderr)
+        return 4
     except ConfigError as exc:
         print(f"fraclab: error: {exc}", file=sys.stderr)
         return 2

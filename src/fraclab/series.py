@@ -52,7 +52,7 @@ from .arithmetic import (
     moebius_harmonic,
     squarefree_zeta2_partial,
 )
-from .exact import correlation_closed_form, exact_correlation
+from .exact import correlation_closed_form, exact_correlations
 
 #: limiting value of the correlation double sum
 DOUBLE_SUM_LIMIT = -9.0 / (2.0 * math.pi**2)
@@ -147,13 +147,24 @@ def _direct_row_float(table: MoebiusTable, n: int, below: np.ndarray) -> float:
     return float(np.sum(mum / below * c))
 
 
+def _direct_exact_row(table: MoebiusTable, n: int, below: List[int]) -> Fraction:
+    # 2 mu(n)/n * sum over square-free m in below of mu(m)/m * C(n, m),
+    # with every C(n, m) of the row from one batched engine call
+    cs = exact_correlations([(n, m) for m in below])
+    row = sum(
+        (Fraction(int(table.mu[m]), m) * c for m, c in zip(below, cs)), Fraction(0)
+    )
+    return Fraction(2 * int(table.mu[n]), n) * row
+
+
 def correlation_double_sum(
     table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
 ) -> SeriesPoint:
     """S(N) by the direct pair loop over square-free indices.
 
     Exact mode fetches every C(n, m) from the piecewise integration
-    engine and sums Fractions; it is capped at N <= DIRECT_EXACT_LIMIT
+    engine, one batch per n over the square-free m < n, and sums
+    Fractions; it is capped at N <= DIRECT_EXACT_LIMIT
     because the reduced denominators grow like lcm(1..N)^2.  Float mode
     uses the closed-form law per pair (the per-pair piecewise sweep
     would cost O(N^3) total and adds nothing: exact mode already pits
@@ -166,13 +177,10 @@ def correlation_double_sum(
             raise ValueError(
                 f"exact direct sum capped at N={DIRECT_EXACT_LIMIT}, got {N}"
             )
-        total = Fraction(0)
-        for i, n in enumerate(sf):
-            n = int(n)
-            for m in sf[:i]:
-                m = int(m)
-                c = exact_correlation(n, m)
-                total += Fraction(2 * int(table.mu[n]) * int(table.mu[m]), n * m) * c
+        sf = sf.tolist()
+        total = sum(
+            (_direct_exact_row(table, n, sf[:i]) for i, n in enumerate(sf)), Fraction(0)
+        )
         return SeriesPoint(N=N, X=x_range, value=total)
     contribs = []
     for i, n in enumerate(sf):
@@ -321,10 +329,7 @@ def correlation_double_sum_sweep(
         total = Fraction(0)
         for n in range(1, n_max + 1):
             if sf_flags[n]:
-                row = Fraction(0)
-                for m in seen:
-                    row += Fraction(int(table.mu[m]), m) * exact_correlation(n, m)
-                total += Fraction(2 * int(table.mu[n]), n) * row
+                total += _direct_exact_row(table, n, seen)
                 seen.append(n)
             points.append(SeriesPoint(N=n, X=x_range, value=total))
         return points

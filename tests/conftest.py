@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 import fraclab
+
+# the same examples on every run, with no wall-clock deadline
+settings.register_profile("fraclab", derandomize=True, deadline=None)
+settings.load_profile("fraclab")
 
 
 @pytest.fixture(scope="session")

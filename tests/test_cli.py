@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from fraclab import cli, series
+from fraclab import cli, exact, series
 from fraclab.formatting import format_decimal
 
 
@@ -117,6 +117,28 @@ def test_invalid_limit_rejected(capsys):
     rc, _, err = run_cli(["sieve", "--limit", "0"], capsys)
     assert rc == 2
     assert "sieve_limit" in err
+
+
+@pytest.mark.parametrize(
+    "x_range, wrong, message",
+    [
+        ("100", lambda total: total + 1, "period-1 identity violated"),
+        ("200000", lambda total: 0, "outside the provable"),  # no [0, X] check
+    ],
+    ids=["period-1", "range"],
+)
+def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, message):
+    real = exact._sweep_totals
+    monkeypatch.setattr(
+        exact, "_sweep_totals", lambda T, P, Q: [wrong(t) for t in real(T, P, Q)]
+    )
+    rc, out, err = run_cli(
+        ["correlate", "--n", "5", "--m", "6", "--x-range", x_range], capsys
+    )
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("fraclab: internal error: ")
+    assert message in err
 
 
 def test_out_io_error(tmp_path, capsys):

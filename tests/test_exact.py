@@ -1,11 +1,15 @@
-"""Exact correlation engine: examples, the closed-form law, moments."""
+"""Exact correlation engine: examples, the closed-form law, moments.
 
-import math
+The engine is pinned against the law and against a merged-breakpoint
+oracle that lives only here.
+"""
+
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraclab
 from fraclab import exact
@@ -84,20 +88,105 @@ def test_bounds(n, m):
     assert (value == THIRD) == (n == m)
 
 
-def test_python_and_numpy_sweeps_agree():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(1, 50)
-        m = rng.randint(1, 50)
-        g = math.gcd(n, m)
-        L = n // g * m
-        p, q = L // n, L // m
-        assert exact._sweep_total_python(L, p, q) == exact._sweep_total_numpy(L, p, q)
+def _merged_sweep_total(T, p, q):
+    # oracle: 6 * integral_0^T (t mod p)(t mod q) dt, piece by piece over the
+    # merged breakpoints of both lattices, in Python ints
+    total = 0
+    t = 0
+    na, nb = p, q
+    while t < T:
+        t1 = min(na, nb, T)
+        A = t - t % p
+        B = t - t % q
+        total += (
+            2 * (t1**3 - t**3)
+            - 3 * (A + B) * (t1**2 - t**2)
+            + 6 * A * B * (t1 - t)
+        )
+        if t1 == na:
+            na += p
+        if t1 == nb:
+            nb += q
+        t = t1
+    return total
 
 
-def test_large_pair_uses_bigint_path():
-    # lcm(999, 1000) = 999000 exceeds the vectorized range
-    assert fraclab.exact_correlation(999, 1000) == fraclab.correlation_closed_form(999, 1000)
+# (T, P, Q) with P >= Q and T a multiple of P, as the engine takes them
+sweep_args = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 30)).map(
+    lambda t: (t[2] * max(t[0], t[1]), max(t[0], t[1]), min(t[0], t[1]))
+)
+
+
+@given(triple=sweep_args)
+@settings(max_examples=150)
+def test_engine_matches_merged_breakpoint_oracle(triple):
+    T, P, Q = triple
+    assert exact._sweep_totals([T], [P], [Q]) == [_merged_sweep_total(T, P, Q)]
+
+
+@given(n=st.integers(1, exact.PAIR_SIZE_LIMIT - 1), data=st.data())
+@settings(max_examples=25)
+def test_engine_matches_law_over_the_pair_range(n, data):
+    m = data.draw(st.integers(1, exact.PAIR_SIZE_LIMIT - n), label="m")
+    assert fraclab.exact_correlation(n, m) == fraclab.correlation_closed_form(n, m)
+
+
+@given(
+    batch=st.lists(sweep_args, min_size=1, max_size=12),
+    chunk=st.sampled_from([1, 2, 3, 7, 64]),
+)
+@settings(max_examples=60)
+@example(batch=[(6, 3, 3), (0, 5, 2), (12, 2, 2), (35, 7, 5), (4, 1, 1)], chunk=4)
+def test_batch_equals_one_at_a_time(batch, chunk):
+    alone = [exact._sweep_totals([T], [P], [Q])[0] for T, P, Q in batch]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "ENGINE_CHUNK", chunk)
+        assert exact._sweep_totals(*zip(*batch)) == alone
+
+
+def test_exact_correlations_match_single_calls():
+    pairs = [(5, 6), (6, 5), (7, 7), (1, 200), (12, 6), (499999, 500000)]
+    assert fraclab.exact_correlations(pairs) == [
+        fraclab.exact_correlation(n, m) for n, m in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, m, X",
+    [
+        (1, 999999, 1),
+        (499999, 500000, 1),
+        (1, 999999, 2),            # X (n + m) at the direct-check limit
+        (333333, 666667, 2),       # same, with the largest P^2 Q
+        (499999, 500000, 2),
+    ],
+)
+def test_int64_edges(n, m, X):
+    assert X * (n + m) <= exact._DIRECT_CHECK_LIMIT
+    cv = fraclab.expected_correlation(n, m, X)
+    assert cv.value == fraclab.correlation_closed_form(n, m)
+
+
+@pytest.mark.parametrize(
+    "P, Q", [(999999, 1), (999998, 2), (666667, 333333), (500000, 499999)]
+)
+def test_interval_values_fit_int64(P, Q):
+    # the same closed form in Python ints (object arrays) cannot wrap
+    rng = np.random.default_rng(P)
+    s = np.unique(np.r_[0:50, Q - 50 : Q, rng.integers(0, Q, 500)].clip(0, Q - 1))
+    fixed = exact._interval_values(s, np.int64(P), np.int64(Q))
+    wide = exact._interval_values(s.astype(object), P, Q)
+    assert fixed.tolist() == wide.tolist()
+    assert all(0 <= v < 3 * P * P * Q for v in wide.tolist())
+
+
+def test_engine_does_not_consult_the_law(monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("the engine consulted the closed-form law")
+
+    monkeypatch.setattr(exact, "correlation_closed_form", refuse)
+    assert fraclab.exact_correlation(5, 6) == Fraction(91, 360)
+    assert fraclab.expected_correlation(12, 6, 100).value == Fraction(7, 24)
 
 
 def test_floor_second_moment_examples():
@@ -133,7 +222,7 @@ def test_moment_chain_collapses_to_one_third(n, X):
 
 
 def test_correlation_value_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         exact.CorrelationValue(n=1, m=2, X=1, value=Fraction(1, 5), method="piecewise")
 
 
