@@ -1,6 +1,6 @@
 """Sieved Moebius/Mertens tables and the exact partial sums built on them.
 
-A single linear (smallest-prime-factor) sieve pass produces, for all
+Strided numpy passes over the primes p <= isqrt(limit) produce, for all
 1 <= n <= limit:
 
     mu[n]         Moebius function: 0 when a square divides n, otherwise
@@ -16,7 +16,7 @@ and sum_{d|k} J2(d) = k**2, is built on demand via ``build_jordan2``; it
 backs the per-N gcd-grouped double sum ``correlation_double_sum_fast``
 (the incremental sweeps build their own J2 up to their n_max).
 
-A built table is immutable by convention and safe to share across
+A built table's arrays are read-only, so it is safe to share across
 threads; every function here is a pure read of the arrays.
 
 Exact rational partial sums (``moebius_harmonic``,
@@ -29,7 +29,9 @@ so only one gcd normalization happens per call.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +55,8 @@ CACHE_MAGIC = b"MUV1"
 
 @dataclass
 class MoebiusTable:
-    """Sieve arrays indexed 1..limit (index 0 is unused padding).
+    """Sieve arrays indexed 1..limit (index 0 is unused padding), read-only
+    as ``build_tables``, ``build_jordan2`` and ``load_cache`` return them.
 
     ``omega`` is None when the table was restored from a mu-only cache
     file, since distinct-prime-factor counts cannot be recovered from mu
@@ -72,20 +75,64 @@ class MoebiusTable:
             raise IndexError(f"n={n} outside table range 1..{self.limit}")
 
 
+#: the most recent table only, so ``build_tables(n) is build_tables(n)``
+#: holds without keeping every size a process ever asked for alive
 _table_memo: dict[int, MoebiusTable] = {}
+
+
+def _table_from_mu(limit: int, mu: np.ndarray, omega: Optional[np.ndarray]) -> MoebiusTable:
+    """Derive Mertens and the square-free flags from ``mu``; freeze the arrays."""
+    mertens_arr = np.zeros(limit + 1, dtype=np.int64)
+    np.cumsum(mu[1:], dtype=np.int64, out=mertens_arr[1:])
+    table = MoebiusTable(
+        limit=limit, mu=mu, mertens=mertens_arr, squarefree=mu != 0, omega=omega
+    )
+    for arr in (mu, mertens_arr, table.squarefree, omega):
+        if arr is not None:
+            arr.setflags(write=False)
+    return table
+
+
+def _primes_upto(n: int) -> list[int]:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def _large_prime_part(limit: int, primes: list[int]) -> np.ndarray:
+    """int32 array whose n-th entry is the prime factor of n above
+    isqrt(limit), or 1 when n has none.
+
+    ``primes`` are the primes up to isqrt(limit).  Multiplying p into
+    every multiple of each power p^k builds the isqrt(limit)-smooth part
+    s(n) of n; it divides n <= MAX_LIMIT, so int32 holds it.  Two primes
+    above isqrt(limit) would multiply to more than limit, so n / s(n) is
+    1 or a single prime.
+    """
+    smooth = np.ones(limit + 1, dtype=np.int32)
+    for p in primes:
+        q = p
+        while q <= limit:
+            smooth[q::q] *= p
+            q *= p
+    rest = np.arange(limit + 1, dtype=np.int32)
+    rest //= smooth
+    return rest
 
 
 def build_tables(limit: int) -> MoebiusTable:
     """Sieve mu, M, omega and square-free flags up to ``limit``.
 
-    Linear sieve: every integer is crossed off exactly once through its
-    smallest prime factor, so the pass is O(limit) and the recurrences
-
-        mu(i*p) = -mu(i), omega(i*p) = omega(i) + 1   when p does not divide i
-        mu(i*p) = 0,      omega(i*p) = omega(i)       when p divides i
-
-    need no special cases.  Output is deterministic for a given limit
-    and memoized, so repeated calls share one table.
+    Strided numpy passes over the primes p <= isqrt(limit) only: each
+    adds 1 to omega on the multiples of p and clears the multiples of
+    p^2 from the square-free indicator, and ``_large_prime_part`` finds
+    the one prime factor above isqrt(limit) that n may have, which adds
+    1 more.  Then mu(n) = (-1)^omega(n) on the square-free n and 0
+    elsewhere.  Output is deterministic for a given limit; the arrays
+    are read-only, and the most recent table is memoized.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -94,69 +141,50 @@ def build_tables(limit: int) -> MoebiusTable:
     memo = _table_memo.get(limit)
     if memo is not None:
         return memo
+    _table_memo.clear()  # let the previous table go before this one is sieved
 
-    mu = [0] * (limit + 1)
-    omega = [0] * (limit + 1)
-    spf = [0] * (limit + 1)
-    primes: list[int] = []
-    mu[1] = 1
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            mu[i] = -1
-            omega[i] = 1
-        si = spf[i]
-        for p in primes:
-            ip = i * p
-            if p > si or ip > limit:
-                break
-            spf[ip] = p
-            if p == si:
-                mu[ip] = 0
-                omega[ip] = omega[i]
-            else:
-                mu[ip] = -mu[i]
-                omega[ip] = omega[i] + 1
+    primes = _primes_upto(math.isqrt(limit))
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    for p in primes:
+        omega[p::p] += 1
+        mu[p * p :: p * p] = 0
+    omega += (_large_prime_part(limit, primes) > 1).view(np.int8)
+    mu *= 1 - 2 * (omega & 1)
 
-    mu_arr = np.array(mu, dtype=np.int8)
-    mertens = np.zeros(limit + 1, dtype=np.int64)
-    np.cumsum(mu_arr[1:], out=mertens[1:])
-    table = MoebiusTable(
-        limit=limit,
-        mu=mu_arr,
-        mertens=mertens,
-        squarefree=mu_arr != 0,
-        omega=np.array(omega, dtype=np.int8),
-    )
+    table = _table_from_mu(limit, mu, omega)
     _table_memo[limit] = table
     return table
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
-
-
 def build_jordan2(table: MoebiusTable) -> MoebiusTable:
-    """Attach the J2 array to ``table`` (idempotent).
+    """Attach the read-only J2 array to ``table`` (idempotent).
 
     J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively: start
-    from d^2 and, prime by prime, replace a factor p^2 with p^2 - 1.
-    The running value stays divisible by p^2 at the division step, so
-    integer arithmetic is exact.
+    from d^2 and, for each prime p <= isqrt(limit), replace a factor p^2
+    with p^2 - 1; then the same for the one prime q above isqrt(limit)
+    that d may have.  The running value stays divisible by p^2 at each
+    division step, so integer arithmetic is exact.
     """
     if table.jordan2 is not None:
         return table
-    j2 = np.arange(table.limit + 1, dtype=np.int64) ** 2
-    j2[0] = 0
-    for p in _primes_upto(table.limit):
-        pp = int(p) * int(p)
-        j2[p::p] = j2[p::p] // pp * (pp - 1)
+    limit = table.limit
+    primes = _primes_upto(math.isqrt(limit))
+    j2 = np.arange(limit + 1, dtype=np.int64)
+    j2 *= j2
+    for p in primes:
+        pp = p * p
+        multiples = j2[p::p]
+        multiples //= pp
+        multiples *= pp - 1
+    qq = _large_prime_part(limit, primes).astype(np.int64)
+    qq[0] = 1  # 0 has no prime part; j2[0] stays 0
+    qq *= qq
+    j2 //= qq
+    qq -= qq > 1  # q^2 - 1 for a large prime q; 1 when there is none
+    j2 *= qq
+    j2.setflags(write=False)
     table.jordan2 = j2
     return table
 
@@ -224,16 +252,24 @@ def squarefree_zeta2_partial(
 
 def save_cache(table: MoebiusTable, path) -> None:
     """Write the binary sieve cache: b"MUV1", little-endian uint64 limit,
-    then mu(1..limit) as signed bytes."""
-    payload = table.mu[1:].astype(np.int8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(payload)
+    then mu(1..limit) as signed bytes.
+
+    The bytes go to ``<path>.tmp-<pid>`` in the same directory, which
+    then replaces ``path``, so a failed write leaves the old cache whole.
+    """
+    tmp = f"{os.fspath(path)}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit))
+            fh.write(table.mu[1:].astype(np.int8).tobytes())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_cache(path) -> MoebiusTable:
-    """Restore a table from a cache file written by ``save_cache``.
+    """Restore a read-only table from a cache file written by ``save_cache``.
 
     Mertens and square-free flags are recomputed from mu (cheap prefix
     work); omega is left as None since the file carries mu only.
@@ -256,12 +292,4 @@ def load_cache(path) -> MoebiusTable:
     mu[1:] = np.frombuffer(body, dtype=np.int8)
     if mu[1] != 1 or not np.all((mu >= -1) & (mu <= 1)):
         raise ValueError(f"sieve cache in {path} holds values outside {{-1,0,1}}")
-    mertens_arr = np.zeros(limit + 1, dtype=np.int64)
-    np.cumsum(mu[1:], out=mertens_arr[1:])
-    return MoebiusTable(
-        limit=int(limit),
-        mu=mu,
-        mertens=mertens_arr,
-        squarefree=mu != 0,
-        omega=None,
-    )
+    return _table_from_mu(int(limit), mu, None)

@@ -17,10 +17,15 @@ its own results failed; a bug, not bad input).  CSV output is
 deterministic: a fixed configuration yields byte-identical bytes on
 every run.
 
+--limit is the ceiling of the sieve.  sieve, tails and verify read the
+table up to --limit; without a cache, sine-series, series and figure2
+sieve only to --n-max, the prefix they read.
+
 The sieve cache path comes from --cache, falling back to the
-FRACLAB_CACHE environment variable; an unreadable or undersized cache
-is ignored with a warning and the sieve is rebuilt (and re-saved).  A
-larger cache is cut to --limit, so output never depends on the cache.
+FRACLAB_CACHE environment variable.  With a cache every command reads a
+table to --limit: an unreadable or undersized cache is ignored with a
+warning and the sieve is rebuilt to --limit (and re-saved, atomically);
+a larger cache is cut to --limit, so output never depends on the cache.
 """
 
 from __future__ import annotations
@@ -71,11 +76,21 @@ def _preflight(config: RunConfig, needed: int) -> None:
         )
 
 
-def _get_table(config: RunConfig, needed: int) -> MoebiusTable:
+def _get_table(config: RunConfig, needed: int, prefix_only: bool = False) -> MoebiusTable:
+    """The table for a command that reads mu(1..needed).
+
+    ``--limit`` is a ceiling, checked by ``_preflight``.  With a cache
+    path the table always reaches ``--limit`` (read from the cache and
+    cut, or sieved and saved), so the cache never depends on which
+    command ran first.  Without one, a ``prefix_only`` command sieves
+    just to ``needed``.
+    """
     _preflight(config, needed)
     limit = config.sieve_limit
     path = config.cache_path
-    if path and os.path.exists(path):
+    if not path:
+        return build_tables(needed if prefix_only else limit)
+    if os.path.exists(path):
         try:
             cached = load_cache(path)
         except ValueError as exc:
@@ -93,12 +108,16 @@ def _get_table(config: RunConfig, needed: int) -> MoebiusTable:
                 f"sieve cache at {path} only reaches {cached.limit}; rebuilding to {limit}"
             )
     table = build_tables(limit)
-    if path:
-        try:
-            save_cache(table, path)
-        except OSError as exc:
-            _warn(f"could not write sieve cache {path}: {exc}")
+    try:
+        save_cache(table, path)
+    except OSError as exc:
+        _warn(f"could not write sieve cache {path}: {exc}")
     return table
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -155,7 +174,9 @@ def _n_grid(n_max: int, points: int) -> List[int]:
 
 
 def cmd_sine_series(config: RunConfig, x: float, n_max: int, points: int) -> int:
-    table = _get_table(config, n_max)
+    _require_positive("--n-max", n_max)
+    _require_positive("--points", points)
+    table = _get_table(config, n_max, prefix_only=True)
     target = math.sin(2.0 * math.pi * x)
     out = io.StringIO()
     out.write("N,x,value,target,abs_error\n")
@@ -177,7 +198,8 @@ def cmd_sine_series(config: RunConfig, x: float, n_max: int, points: int) -> int
 
 
 def cmd_series(config: RunConfig, n_max: int, exact_mode: bool, naive: bool) -> int:
-    table = _get_table(config, n_max)
+    _require_positive("--n-max", n_max)
+    table = _get_table(config, n_max, prefix_only=True)
     fast = config.jordan_fast_path and not naive
     points = series.correlation_double_sum_sweep(
         table, n_max, fast=fast, exact=exact_mode
@@ -193,7 +215,8 @@ def cmd_figure1(config: RunConfig) -> int:
 
 
 def cmd_figure2(config: RunConfig, n_max: int) -> int:
-    table = _get_table(config, n_max)
+    _require_positive("--n-max", n_max)
+    table = _get_table(config, n_max, prefix_only=True)
     _emit(
         config,
         figures.figure2_csv(
@@ -313,6 +336,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _criterion_numbers(text: str) -> List[int]:
+    known = [number for number, _, _ in acceptance.CRITERIA]
+    try:
+        numbers = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        numbers = []
+    if not numbers or not set(numbers) <= set(known):
+        raise ConfigError(
+            f"--only needs criterion numbers in {min(known)}..{max(known)}, got {text!r}"
+        )
+    return numbers
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cache = args.cache if args.cache else os.environ.get(CACHE_ENV_VAR) or None
     return RunConfig(
@@ -349,9 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             return cmd_tails(config, cutoffs, args.c)
         if args.command == "verify":
-            only = None
-            if args.only:
-                only = [int(v) for v in args.only.split(",") if v.strip()]
+            only = _criterion_numbers(args.only) if args.only else None
             return cmd_verify(config, only)
         parser.error(f"unknown command {args.command}")
     except AssertionError as exc:

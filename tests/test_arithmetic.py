@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 import fraclab
 from fraclab import arithmetic
@@ -27,6 +29,61 @@ def mobius_bruteforce(n):
     if n > 1:
         count += 1
     return -1 if count % 2 else 1
+
+
+def linear_sieve(limit):
+    """mu and omega of 0..limit from the linear (smallest-prime-factor)
+    sieve that ``build_tables`` used before its numpy passes; the oracle
+    for them."""
+    mu = [0] * (limit + 1)
+    omega = [0] * (limit + 1)
+    spf = [0] * (limit + 1)
+    primes = []
+    mu[1] = 1
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+            mu[i] = -1
+            omega[i] = 1
+        si = spf[i]
+        for p in primes:
+            ip = i * p
+            if p > si or ip > limit:
+                break
+            spf[ip] = p
+            if p == si:
+                mu[ip] = 0
+                omega[ip] = omega[i]
+            else:
+                mu[ip] = -mu[i]
+                omega[ip] = omega[i] + 1
+    return mu, omega
+
+
+def test_numpy_sieve_matches_linear_sieve():
+    # every limit up to 300, and p^2 - 1, p^2, p^2 + 1 for each prime
+    # p <= 997: where p joins the primes <= isqrt(limit)
+    limits = list(range(1, 301))
+    for p in sympy.primerange(2, 998):
+        limits += [p * p - 1, p * p, p * p + 1]
+    mu, omega = (np.array(a, dtype=np.int8) for a in linear_sieve(max(limits)))
+    for limit in limits:
+        t = fraclab.build_tables(limit)
+        assert np.array_equal(t.mu, mu[: limit + 1]), limit
+        assert np.array_equal(t.omega, omega[: limit + 1]), limit
+
+
+@given(n=st.integers(1, 10**6))
+def test_sieve_and_jordan2_match_factorint(table6, n):
+    factors = sympy.factorint(n)
+    squarefree = all(e == 1 for e in factors.values())
+    assert int(table6.mu[n]) == ((-1) ** len(factors) if squarefree else 0)
+    assert int(table6.omega[n]) == len(factors)
+    j2 = n * n
+    for p in factors:
+        j2 = j2 // (p * p) * (p * p - 1)
+    assert int(table6.jordan2[n]) == j2
 
 
 def test_limit_one():
@@ -65,6 +122,12 @@ def test_mertens_decade_values(table6):
     assert fraclab.mertens(table6, 10**4) == -23
     assert fraclab.mertens(table6, 10**5) == -48
     assert fraclab.mertens(table6, 10**6) == 212
+
+
+def test_mertens_and_squarefree_count_at_1e7():
+    t = fraclab.build_tables(10**7)
+    assert fraclab.mertens(t, 10**7) == 1037
+    assert fraclab.squarefree_count(t, 10**7) == 6079291
 
 
 def test_mertens_difference_is_mu(table4):
@@ -176,3 +239,20 @@ def test_jordan2_requires_build():
 
 def test_build_tables_memoized():
     assert fraclab.build_tables(123) is fraclab.build_tables(123)
+
+
+def test_memo_keeps_only_the_latest_table():
+    for limit in (1001, 1002, 1003):
+        fraclab.build_tables(limit)
+    assert list(arithmetic._table_memo) == [1003]
+
+
+def test_table_arrays_are_read_only(tmp_path):
+    t = fraclab.build_jordan2(fraclab.build_tables(1000))
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(t, path)
+    loaded = fraclab.load_cache(path)
+    for arr in (t.mu, t.mertens, t.squarefree, t.omega, t.jordan2, loaded.mu,
+                loaded.mertens, loaded.squarefree):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import cli
+from fraclab import arithmetic, cli
 from fraclab.arithmetic import CACHE_MAGIC
 
 
@@ -117,3 +117,39 @@ def test_cli_tails_bytes_independent_of_cache(tmp_path, capsys):
     fraclab.save_cache(fraclab.build_tables(20000), path)
     assert cli.main(args + ["--cache", str(path)]) == 0
     assert capsys.readouterr().out == without
+
+
+def test_failed_cache_write_keeps_the_old_cache(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(50), path)
+    before = path.read_bytes()
+    real_open = open
+
+    class FullDisk:
+        """A file whose body write fails, after the header went through."""
+
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            if len(data) > 12:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(arithmetic, "open", FullDisk, raising=False)
+    rc = cli.main(["sieve", "--limit", "500", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "limit,500\nmertens,-6\nsquarefree_count,306\n"
+    assert "could not write sieve cache" in captured.err
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sieve.muv"]

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from fraclab import cli, exact, series
+from fraclab import arithmetic, cli, exact, series
 from fraclab.formatting import format_decimal
 
 
@@ -107,6 +107,49 @@ def test_tails_bad_cutoffs_rejected(capsys, cutoffs):
     assert err.startswith("fraclab: error: --cutoffs")
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["series", "--n-max", "0"], "--n-max"),
+        (["figure2", "--n-max", "0"], "--n-max"),
+        (["sine-series", "--x", "0.25", "--n-max", "0"], "--n-max"),
+        (["sine-series", "--x", "0.25", "--n-max", "100", "--points", "0"], "--points"),
+    ],
+)
+def test_nonpositive_sizes_rejected(capsys, args, flag):
+    rc, out, err = run_cli(args + ["--limit", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"fraclab: error: {flag} must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "args, cached, sieved",
+    [
+        (["series", "--n-max", "60"], False, 60),
+        (["figure2", "--n-max", "70"], False, 70),
+        (["sine-series", "--x", "0.25", "--n-max", "80"], False, 80),
+        (["tails", "--cutoffs", "100"], False, 1000),
+        (["series", "--n-max", "60"], True, 1000),
+    ],
+)
+def test_sieve_limit_per_command(
+    tmp_path, monkeypatch, capsys, args, cached, sieved
+):
+    limits = []
+
+    def recording_build(limit):
+        limits.append(limit)
+        return arithmetic.build_tables(limit)
+
+    monkeypatch.setattr(cli, "build_tables", recording_build)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    cache = ["--cache", str(tmp_path / "sieve.muv")] if cached else []
+    rc, _, _ = run_cli(args + ["--limit", "1000"] + cache, capsys)
+    assert rc == 0
+    assert limits == [sieved]
+
+
 def test_preflight_limit_error(capsys):
     rc, _, err = run_cli(["figure2", "--n-max", "10000", "--limit", "1000"], capsys)
     assert rc == 2
@@ -155,6 +198,15 @@ def test_verify_passing_subset(capsys, table6):
     assert " 12 PASS" in out
     assert "2/2 criteria passed" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("only", ["13", "0", "1,13", "x", "5.0", ","])
+def test_verify_rejects_unknown_criteria(monkeypatch, capsys, only):
+    monkeypatch.setattr(cli, "build_tables", None)  # no sieve before the check
+    rc, out, err = run_cli(["verify", "--only", only], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("fraclab: error: --only needs criterion numbers in 1..12")
 
 
 def test_verify_known_failing_criterion(capsys, table6):

@@ -113,9 +113,9 @@ def test_fast_sweeps_need_no_jordan_table(table4):
         assert floats[N - 1].value == float(spot)
 
 
-def test_sweep_jordan2_matches_build_jordan2(table4):
-    _, j2 = series._spf_jordan2(5000)
-    assert j2 == table4.jordan2[:5001].tolist()
+def test_sweep_jordan2_matches_build_jordan2(table6):
+    _, j2 = series._spf_jordan2(10**5)
+    assert j2 == table6.jordan2[: 10**5 + 1].tolist()
 
 
 def test_exact_direct_guard(table4):
