@@ -41,6 +41,7 @@ from .series import (
     residual_moment_report,
     sawtooth_fourier_partial,
     sine_series_partial,
+    sine_series_partials,
     sine_series_residual,
     sine_squared_identity_gap,
     squared_residual,
@@ -86,6 +87,7 @@ __all__ = [
     "residual_moment_report",
     "sawtooth_fourier_partial",
     "sine_series_partial",
+    "sine_series_partials",
     "sine_series_residual",
     "sine_squared_identity_gap",
     "squared_residual",

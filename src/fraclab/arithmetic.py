@@ -25,17 +25,23 @@ N = EXACT_SUM_LIMIT = 10**4 and as compensated floats beyond; the two
 paths agree to 1e-12 where they overlap.  The exact path accumulates
 integer numerators over a common denominator lcm(1..N) (or its square)
 so only one gcd normalization happens per call.
+
+``_range_fsums`` gives the correctly rounded sums of a term sequence over
+many prefixes or suffixes in one pass, bit for bit what ``math.fsum``
+over each range's terms gives; the tail integrals and the sine series
+use it.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -248,6 +254,80 @@ def squarefree_zeta2_partial(
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.squarefree[1 : N + 1].astype(np.float64) / (n * n)
     return math.fsum(terms.tolist())
+
+
+#: terms built per pass of ``_range_fsums``, which bounds its working
+#: memory; at most 2^26, the bin size ``_bin_totals`` sums exactly
+_FSUM_CHUNK = 1 << 16
+
+#: the low mantissa bits that ``_bin_totals`` splits off each term
+_LOW_BITS = (1 << 26) - 1
+
+
+def _bin_totals(terms: np.ndarray) -> list[float]:
+    """Floats, each exact, whose true sum is that of ``terms``.
+
+    Each finite float64 term t, of exponent field e, splits into hi (t
+    with its low 26 mantissa bits cleared) and lo = t - hi, both exact.
+    In one exponent bin the hi parts are multiples of 2^(E-26) below
+    2^(E+1) and the lo parts multiples of 2^(E-52) below 2^(E-26), so a
+    bin of up to 2^26 terms sums both exactly in float64, in any order;
+    ``np.bincount`` does, per exponent.  The nonzero bin totals are
+    returned.
+    """
+    bits = terms.view(np.int64)
+    exponent = (bits >> 52) & 0x7FF
+    if terms.size and exponent.max() == 0x7FF:
+        raise AssertionError("a term to be summed is not finite")
+    hi = (bits & ~_LOW_BITS).view(np.float64)
+    totals = np.concatenate(
+        (np.bincount(exponent, hi, 0x800), np.bincount(exponent, terms - hi, 0x800))
+    )
+    return totals[totals != 0.0].tolist()
+
+
+def _range_fsums(
+    term: Callable[[int, int], np.ndarray],
+    start: int,
+    stop: int,
+    bounds: Sequence[int],
+    suffix: bool = False,
+) -> list[float]:
+    """``math.fsum`` of the terms over [start, b), or over [b, stop) with
+    ``suffix``, for each b in the strictly increasing ``bounds``.
+
+    ``term(a, b)`` returns the float64 terms of the indices a..b-1; it is
+    called once per pass of ``_FSUM_CHUNK`` indices, so every term is
+    built once.  Each pass is cut at the bounds it spans and every piece
+    reduced to its exact bin totals (``_bin_totals``).  ``math.fsum``
+    over the totals of the pieces a range covers rounds their true sum
+    once, which is the value, bit for bit, that ``math.fsum`` over the
+    range's own terms gives.
+    """
+    bounds = list(bounds)
+    edges = [start, *bounds, stop]
+    if any(b <= a for a, b in zip(bounds, bounds[1:])) or not all(
+        start <= b <= stop for b in bounds
+    ):
+        raise AssertionError(
+            f"bounds must strictly increase within {start}..{stop}, got {bounds}"
+        )
+    pieces: list[list[float]] = [[] for _ in range(len(edges) - 1)]
+    for s in range(start, stop, _FSUM_CHUNK):
+        e = min(s + _FSUM_CHUNK, stop)
+        terms = term(s, e)
+        i = bisect.bisect_right(edges, s) - 1
+        while i < len(pieces) and edges[i] < e:
+            a, b = max(edges[i], s), min(edges[i + 1], e)
+            if a < b:
+                pieces[i] += _bin_totals(terms[a - s : b - s])
+            i += 1
+    sums: list[float] = []
+    covered: list[float] = []
+    for piece in (pieces[:0:-1] if suffix else pieces[:-1]):
+        covered += piece
+        sums.append(math.fsum(covered))
+    return sums[::-1] if suffix else sums
 
 
 def save_cache(table: MoebiusTable, path) -> None:

@@ -176,13 +176,15 @@ def _n_grid(n_max: int, points: int) -> List[int]:
 def cmd_sine_series(config: RunConfig, x: float, n_max: int, points: int) -> int:
     _require_positive("--n-max", n_max)
     _require_positive("--points", points)
+    if not math.isfinite(x):
+        raise ConfigError(f"--x must be a finite number, got {x}")
     table = _get_table(config, n_max, prefix_only=True)
     target = math.sin(2.0 * math.pi * x)
     out = io.StringIO()
     out.write("N,x,value,target,abs_error\n")
     digits = config.precision_digits
-    for N in _n_grid(n_max, points):
-        value = series.sine_series_partial(table, N, x)
+    grid = _n_grid(n_max, points)
+    for N, value in zip(grid, series.sine_series_partials(table, grid, x)):
         out.write(
             "%d,%s,%s,%s,%s\n"
             % (
@@ -227,6 +229,8 @@ def cmd_figure2(config: RunConfig, n_max: int) -> int:
 
 
 def cmd_tails(config: RunConfig, cutoffs: List[int], c: float) -> int:
+    if not (math.isfinite(c) and c > 0):
+        raise ConfigError(f"--c must be a positive finite number, got {c}")
     table = _get_table(config, max(cutoffs))
     report = tails.classical_bound_report(table, cutoffs, c)
     digits = config.precision_digits

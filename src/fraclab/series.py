@@ -33,7 +33,12 @@ each row in one int/int true division, which Python rounds correctly.
 Its truncation error, below N log N 2**-128, is far under half an ulp of
 S(N), so a row is the correctly rounded value of the exact S(N) unless
 S(N) lies that close to a rounding boundary (the tests check every
-N <= 2000).  The other float paths accumulate in ascending index order
+N <= 2000).  The sine series is also correctly rounded in its float64
+terms: ``sine_series_partials`` builds them in chunks, reduces each chunk
+to exact per-exponent bin totals and rounds each prefix once with
+``math.fsum`` over those totals (``arithmetic._range_fsums``), which gives
+every grid point in one pass and the same bits as ``math.fsum`` over the
+term list.  The other float paths accumulate in ascending index order
 through ``math.fsum`` (exactly rounded).
 """
 
@@ -42,12 +47,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple, Union
+from functools import partial
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arithmetic import (
     MoebiusTable,
+    _range_fsums,
     jordan2,
     moebius_harmonic,
     squarefree_zeta2_partial,
@@ -65,9 +72,6 @@ SQUARED_IDENTITY_LIMIT = 500
 
 #: fixed-point scale of the float fast sweep
 FIXED_POINT_SCALE = 2**128
-
-#: terms per chunk of the sine series, which bounds its working memory
-SINE_CHUNK = 1 << 16
 
 _TWO_PI = 2.0 * math.pi
 
@@ -106,20 +110,35 @@ def sawtooth_fourier_partial(K: int, x: float) -> float:
     return 0.5 - math.fsum(terms.tolist()) / math.pi
 
 
+def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
+    # mu(n)/n {nx} for n = a..b-1, elementwise
+    n = np.arange(a, b, dtype=np.float64)
+    return table.mu[a:b].astype(np.float64) / n * ((n * x) % 1.0)
+
+
+def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> List[float]:
+    """-pi sum_{n<=N} mu(n)/n {nx} for each N of the strictly increasing
+    ``Ns``, in one prefix pass over the terms (``_range_fsums``).
+
+    Each sum is the correctly rounded value of its float64 terms.  The
+    terms of n <= max(Ns) are built once, whatever the number of points.
+    """
+    Ns = [int(N) for N in Ns]
+    for N in Ns:
+        table._check_index(N)
+    if any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError(f"N values must be strictly increasing, got {Ns}")
+    if not Ns:
+        return []
+    if not math.isfinite(x * Ns[-1]):
+        raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
+    sums = _range_fsums(partial(_sine_terms, table, x), 1, Ns[-1] + 1, [N + 1 for N in Ns])
+    return [-math.pi * s for s in sums]
+
+
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
     """-pi sum_{n<=N} mu(n)/n {nx}, the truncated sine series."""
-    table._check_index(N)
-    return -math.pi * math.fsum(_sine_terms(table, N, x))
-
-
-def _sine_terms(table: MoebiusTable, N: int, x: float) -> Iterator[float]:
-    # mu(n)/n {nx} for n = 1..N, built SINE_CHUNK terms at a time; each
-    # term is computed elementwise, so chunking does not change its bits
-    for start in range(1, N + 1, SINE_CHUNK):
-        stop = min(start + SINE_CHUNK, N + 1)
-        n = np.arange(start, stop, dtype=np.float64)
-        frac = (n * x) % 1.0
-        yield from (table.mu[start:stop].astype(np.float64) / n * frac).tolist()
+    return sine_series_partials(table, [N], x)[0]
 
 
 def sine_series_residual(table: MoebiusTable, N: int, x: float) -> float:

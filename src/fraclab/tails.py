@@ -6,7 +6,11 @@ M(u)/u^2 and M(u)/u over [N, U] are finite sums over unit steps:
     integral M(u)/u^2 du = sum_{k=N}^{U-1} M(k) (1/k - 1/(k+1))
     integral M(u)/u  du  = sum_{k=N}^{U-1} M(k) ln((k+1)/k)
 
-evaluated in compensated floats (math.fsum over vectorized terms).
+Each sum is the correctly rounded value of its float64 terms, the one
+math.fsum over the term list gives, found in one pass: the terms are
+built in chunks and reduced to exact per-exponent bin totals
+(``arithmetic._range_fsums``), so ``classical_bound_report`` sums every
+cutoff's tail in one suffix pass per column.
 
 ``abel_identity_check`` verifies the summation-by-parts expansion of
 sum_{N<n<=U} mu(n)/n {nx} at finite range.  With f(u) = {ux}/u taken
@@ -37,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable
+from .arithmetic import MoebiusTable, _range_fsums
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -77,20 +82,28 @@ def _check_range(table: MoebiusTable, N: int, U: int) -> None:
         )
 
 
+def _u2_terms(table: MoebiusTable, a: int, b: int) -> np.ndarray:
+    # M(k) (1/k - 1/(k+1)) for k = a..b-1, elementwise
+    k = np.arange(a, b, dtype=np.float64)
+    return table.mertens[a:b].astype(np.float64) / (k * (k + 1.0))
+
+
+def _u1_terms(table: MoebiusTable, a: int, b: int) -> np.ndarray:
+    # M(k) ln((k+1)/k) for k = a..b-1, elementwise
+    k = np.arange(a, b, dtype=np.float64)
+    return table.mertens[a:b].astype(np.float64) * np.log1p(1.0 / k)
+
+
 def tail_integral_u2(table: MoebiusTable, N: int, U: int) -> float:
     """integral_N^U M(u)/u^2 du over the exact unit steps of M."""
     _check_range(table, N, U)
-    k = np.arange(N, U, dtype=np.float64)
-    terms = table.mertens[N:U].astype(np.float64) / (k * (k + 1.0))
-    return math.fsum(terms.tolist())
+    return _range_fsums(partial(_u2_terms, table), N, U, [N], suffix=True)[0]
 
 
 def tail_integral_u1(table: MoebiusTable, N: int, U: int) -> float:
     """integral_N^U M(u)/u du over the exact unit steps of M."""
     _check_range(table, N, U)
-    k = np.arange(N, U, dtype=np.float64)
-    terms = table.mertens[N:U].astype(np.float64) * np.log1p(1.0 / k)
-    return math.fsum(terms.tolist())
+    return _range_fsums(partial(_u1_terms, table), N, U, [N], suffix=True)[0]
 
 
 def _coerce_x(x) -> Fraction:
@@ -227,24 +240,27 @@ def classical_bound_report(
 
     The fit column is diagnostic only; no bound is asserted on it.  The
     exponent constant c is not pinned by theory at desk scale, so it is
-    a parameter with default 1.
+    a parameter with default 1.  The cutoffs must strictly increase
+    within 1..limit (IndexError when out of range, ValueError when out of
+    order), checked before anything is summed.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive and finite, got {c}")
     cuts = [int(N) for N in cutoffs]
     for N in cuts:
         table._check_index(N)
-    ratios, u2, u1, fit = [], [], [], []
+    if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
+    ratios, fit = [], []
     for N in cuts:
         m = int(table.mertens[N])
         ratios.append(m / N)
-        if N < table.limit:
-            u2.append(tail_integral_u2(table, N, table.limit))
-            u1.append(tail_integral_u1(table, N, table.limit))
-        else:
-            u2.append(0.0)
-            u1.append(0.0)
         fit.append(abs(m) * math.exp(c * math.sqrt(math.log(N))) / N)
+    # every tail runs to the table limit: one suffix pass per column, and
+    # a cutoff at the limit gets the empty sum 0.0
+    start = cuts[0] if cuts else table.limit
+    u2 = _range_fsums(partial(_u2_terms, table), start, table.limit, cuts, suffix=True)
+    u1 = _range_fsums(partial(_u1_terms, table), start, table.limit, cuts, suffix=True)
     return TailReport(
         cutoffs=cuts, mertens_ratio=ratios, tail_u2=u2, tail_u1=u1, bound_fit=fit
     )

@@ -124,6 +124,26 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sine-series", "--x", "nan"], "--x must be a finite number, got nan"),
+        (["sine-series", "--x", "inf"], "--x must be a finite number, got inf"),
+        (["sine-series", "--x=-inf"], "--x must be a finite number, got -inf"),
+        (["tails", "--c", "nan"], "--c must be a positive finite number, got nan"),
+        (["tails", "--c", "inf"], "--c must be a positive finite number, got inf"),
+        (["tails", "--c", "0"], "--c must be a positive finite number, got 0.0"),
+        (["tails", "--c", "-1"], "--c must be a positive finite number, got -1.0"),
+    ],
+)
+def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
+    monkeypatch.setattr(cli, "build_tables", None)  # no sieve before the check
+    rc, out, err = run_cli(args + ["--limit", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"fraclab: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args, cached, sieved",
     [
         (["series", "--n-max", "60"], False, 60),

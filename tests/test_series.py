@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import series
+from fraclab import arithmetic, cli, series
 from fraclab.series import DIRECT_EXACT_LIMIT, DOUBLE_SUM_LIMIT
 
 
@@ -43,11 +43,56 @@ def test_sine_series_converges_slowly(table6):
 
 
 def test_sine_series_chunks_sum_like_one_array(table6):
-    N, x = 3 * series.SINE_CHUNK + 1234, 0.3
+    N, x = 3 * arithmetic._FSUM_CHUNK + 1234, 0.3
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table6.mu[1 : N + 1].astype(np.float64) / n * ((n * x) % 1.0)
     expected = -math.pi * math.fsum(terms.tolist())
     assert fraclab.sine_series_partial(table6, N, x) == expected
+
+
+def oracle_sine_partials(table, Ns, x):
+    # the per-N fsum over the term list, as it was before the one-pass
+    # binned sums; the terms are built the same way, elementwise
+    n = np.arange(1, max(Ns) + 1, dtype=np.float64)
+    terms = table.mu[1 : max(Ns) + 1].astype(np.float64) / n * ((n * x) % 1.0)
+    return [-math.pi * math.fsum(terms[:N].tolist()) for N in Ns]
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("x", [0.25, 0.1, 1 / 3, 0.7, 0.0, -2.75, 1e6 + 0.5])
+def test_sine_series_partials_match_per_point_fsum(table6, x):
+    grid = cli._n_grid(10**6, 25)
+    got = fraclab.sine_series_partials(table6, grid, x)
+    assert bits(got) == bits(oracle_sine_partials(table6, grid, x))
+    assert bits([fraclab.sine_series_partial(table6, grid[7], x)]) == bits([got[7]])
+
+
+def test_sine_series_partials_validation(table4):
+    assert fraclab.sine_series_partials(table4, [], 0.3) == []
+    for Ns in ([5, 5], [7, 3]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fraclab.sine_series_partials(table4, Ns, 0.3)
+    for Ns in ([0, 5], [5, table4.limit + 1]):
+        with pytest.raises(IndexError):
+            fraclab.sine_series_partials(table4, Ns, 0.3)
+    for x in (math.nan, math.inf, -math.inf, 1e305):  # 1e305 * 10^4 overflows
+        with pytest.raises(ValueError, match="finite"):
+            fraclab.sine_series_partials(table4, [10, table4.limit], x)
+        with pytest.raises(ValueError, match="finite"):
+            fraclab.sine_series_partial(table4, table4.limit, x)
+
+
+def test_sine_series_cli_bytes_match_oracle(monkeypatch, capsys, table6):
+    args = ["sine-series", "--x", "0.25", "--n-max", "100000"]
+    assert cli.main(args) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(series, "sine_series_partials", oracle_sine_partials)
+    assert cli.main(args) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_residual_is_definitional(table4):

@@ -3,11 +3,153 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fraclab
-from fraclab import tails
+from fraclab import arithmetic, cli, tails
+
+
+# -- oracles: the per-cutoff fsum over a term list, as it was before the
+# one-pass binned sums; the terms are built the same way, elementwise
+
+
+def oracle_tail_u2(table, N, U):
+    k = np.arange(N, U, dtype=np.float64)
+    terms = table.mertens[N:U].astype(np.float64) / (k * (k + 1.0))
+    return math.fsum(terms.tolist())
+
+
+def oracle_tail_u1(table, N, U):
+    k = np.arange(N, U, dtype=np.float64)
+    terms = table.mertens[N:U].astype(np.float64) * np.log1p(1.0 / k)
+    return math.fsum(terms.tolist())
+
+
+def oracle_report(table, cutoffs, c=1.0):
+    ratios, u2, u1, fit = [], [], [], []
+    for N in cutoffs:
+        m = int(table.mertens[N])
+        ratios.append(m / N)
+        if N < table.limit:
+            u2.append(oracle_tail_u2(table, N, table.limit))
+            u1.append(oracle_tail_u1(table, N, table.limit))
+        else:
+            u2.append(0.0)
+            u1.append(0.0)
+        fit.append(abs(m) * math.exp(c * math.sqrt(math.log(N))) / N)
+    return tails.TailReport(
+        cutoffs=list(cutoffs), mertens_ratio=ratios, tail_u2=u2, tail_u1=u1, bound_fit=fit
+    )
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float(v).hex() for v in values]
+
+
+# -- the binned range sums against math.fsum over the term list
+
+finite = st.one_of(
+    st.floats(min_value=-(2.0**900), max_value=2.0**900),  # subnormals and -0.0 too
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 900)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, 2.0**900]),
+)
+
+
+@st.composite
+def term_arrays(draw):
+    xs = draw(st.lists(finite, max_size=40))
+    if xs:  # exact cancellation: some terms again with the sign flipped
+        xs += [-v for v in draw(st.lists(st.sampled_from(xs), max_size=20))]
+    return np.array(draw(st.permutations(xs)), dtype=np.float64)
+
+
+@given(term_arrays(), st.data(), st.sampled_from([1, 2, 7, 1 << 16]))
+def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
+    start = data.draw(st.integers(0, len(x)))
+    bounds = sorted(data.draw(st.sets(st.integers(start, len(x)), max_size=8)))
+    built = []
+
+    def term(a, b):
+        built.append((a, b))
+        return x[a:b]
+
+    with mock.patch.object(arithmetic, "_FSUM_CHUNK", chunk):
+        prefix = arithmetic._range_fsums(term, start, len(x), bounds)
+        suffix = arithmetic._range_fsums(term, start, len(x), bounds, suffix=True)
+    assert bits(prefix) == bits(math.fsum(x[start:b].tolist()) for b in bounds)
+    assert bits(suffix) == bits(math.fsum(x[b:].tolist()) for b in bounds)
+    # each pass builds every term once, one chunk at a time
+    once = [(a, min(a + chunk, len(x))) for a in range(start, len(x), chunk)]
+    assert built == once + once
+
+
+def test_range_fsums_full_chunks_in_one_binade():
+    # 3 * 2^16 terms with full mantissas in [1, 2): whole chunks share a bin
+    x = 1.0 + np.random.default_rng(5).random(3 * arithmetic._FSUM_CHUNK + 17)
+    x[::3] *= -1.0
+    bounds = [0, 1, 65535, 65536, 65537, 2 * 65536 + 5, len(x)]
+    term = lambda a, b: x[a:b]  # noqa: E731
+    assert bits(arithmetic._range_fsums(term, 0, len(x), bounds)) == bits(
+        math.fsum(x[:b].tolist()) for b in bounds
+    )
+    assert bits(arithmetic._range_fsums(term, 0, len(x), bounds, suffix=True)) == bits(
+        math.fsum(x[b:].tolist()) for b in bounds
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_range_fsums_reject_non_finite_terms(bad):
+    x = np.array([1.0, 2.0, bad, 3.0])
+    with pytest.raises(AssertionError, match="not finite"):
+        arithmetic._range_fsums(lambda a, b: x[a:b], 0, 4, [0], suffix=True)
+
+
+@pytest.mark.parametrize("bounds", [[3, 3], [5, 4], [0], [11]])
+def test_range_fsums_reject_bad_bounds(bounds):
+    with pytest.raises(AssertionError, match="bounds"):
+        arithmetic._range_fsums(lambda a, b: np.ones(b - a), 1, 10, bounds)
+
+
+def test_tail_integrals_match_oracle(table6):
+    chunk = arithmetic._FSUM_CHUNK
+    for N, U in [(1, 2), (1, 10**6), (7, chunk + 7), (chunk - 1, 3 * chunk + 1),
+                 (999_999, 10**6), (12345, 678_901)]:
+        assert bits([fraclab.tail_integral_u2(table6, N, U)]) == bits(
+            [oracle_tail_u2(table6, N, U)]
+        )
+        assert bits([fraclab.tail_integral_u1(table6, N, U)]) == bits(
+            [oracle_tail_u1(table6, N, U)]
+        )
+
+
+@pytest.mark.parametrize(
+    "cutoffs, c",
+    [
+        ([10**3, 10**4, 10**5, 10**6], 1.0),
+        ([1, 2, 7, 65535, 65536, 65537, 999_999, 10**6], 0.5),
+        ([3, 500_000], 2.0),
+    ],
+)
+def test_classical_bound_report_matches_oracle(table6, cutoffs, c):
+    got = fraclab.classical_bound_report(table6, cutoffs, c)
+    want = oracle_report(table6, cutoffs, c)
+    for column in ("mertens_ratio", "tail_u2", "tail_u1", "bound_fit"):
+        assert bits(getattr(got, column)) == bits(getattr(want, column)), column
+
+
+def test_tails_cli_bytes_match_oracle(monkeypatch, capsys, table6):
+    args = ["tails", "--cutoffs", "1000,10000,100000,1000000"]
+    assert cli.main(args) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(tails, "classical_bound_report", oracle_report)
+    assert cli.main(args) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_u2_single_steps(table4):
@@ -119,3 +261,20 @@ def test_report_validation(table4):
         fraclab.classical_bound_report(table4, [100, 200], c=0.0)
     with pytest.raises(IndexError):
         fraclab.classical_bound_report(table4, [table4.limit + 1])
+
+
+@pytest.mark.parametrize(
+    "cutoffs, c, error",
+    [
+        ([200, 100], 1.0, ValueError),
+        ([0, 100], 1.0, IndexError),
+        ([100, 10**4 + 1], 1.0, IndexError),
+        ([100], math.nan, ValueError),
+        ([100], math.inf, ValueError),
+        ([100], -1.0, ValueError),
+    ],
+)
+def test_report_rejects_before_summing(monkeypatch, table4, cutoffs, c, error):
+    monkeypatch.setattr(tails, "_range_fsums", None)  # nothing may be summed
+    with pytest.raises(error):
+        fraclab.classical_bound_report(table4, cutoffs, c)
