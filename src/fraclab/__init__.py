@@ -13,7 +13,6 @@ from .arithmetic import (
     MoebiusTable,
     build_jordan2,
     build_tables,
-    jordan2,
     load_cache,
     mertens,
     moebius_harmonic,
@@ -63,7 +62,6 @@ __all__ = [
     "MoebiusTable",
     "build_jordan2",
     "build_tables",
-    "jordan2",
     "load_cache",
     "mertens",
     "moebius_harmonic",

@@ -4,20 +4,21 @@ Strided numpy passes over the primes p <= isqrt(limit) produce, for all
 1 <= n <= limit:
 
     mu[n]         Moebius function: 0 when a square divides n, otherwise
-                  (-1)**omega(n)
+                  (-1)**k for n with k distinct prime factors
     mertens[n]    M(n) = sum_{k <= n} mu(k)
-    omega[n]      number of distinct prime factors
     squarefree[n] mu[n] != 0
 
-Conventions fixed here: mu(1) = 1, omega(1) = 0, M(0) = 0.
+Conventions fixed here: mu(1) = 1, M(0) = 0.  A table has these fields
+and no others, whether it was sieved or loaded from the cache.
 
-The Jordan totient array J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2)
-and sum_{d|k} J2(d) = k**2, is built on demand via ``build_jordan2``; it
-backs the per-N gcd-grouped double sum ``correlation_double_sum_fast``
-(the incremental sweeps build their own J2 up to their n_max).
+The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
+sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
+part of the table: ``_jordan2_upto`` and ``_smallest_prime_factors``
+build them to any size, for the gcd-grouped double-sum sweep, and
+``build_jordan2`` returns J2 over a table's range.
 
-A built table's arrays are read-only, so it is safe to share across
-threads; every function here is a pure read of the arrays.
+A table is frozen and its arrays are read-only, so it is safe to share
+across threads; every function here is a pure read of the arrays.
 
 Exact rational partial sums (``moebius_harmonic``,
 ``squarefree_zeta2_partial``) are returned as ``Fraction`` up to
@@ -39,7 +40,7 @@ import contextlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -59,22 +60,15 @@ SQUAREFREE_DENSITY = 1.0 / ZETA2  # 6/pi^2
 CACHE_MAGIC = b"MUV1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoebiusTable:
     """Sieve arrays indexed 1..limit (index 0 is unused padding), read-only
-    as ``build_tables``, ``build_jordan2`` and ``load_cache`` return them.
-
-    ``omega`` is None when the table was restored from a mu-only cache
-    file, since distinct-prime-factor counts cannot be recovered from mu
-    alone.  ``jordan2`` is None until ``build_jordan2`` is called.
-    """
+    as ``build_tables`` and ``load_cache`` return them."""
 
     limit: int
-    mu: np.ndarray                      # int8
-    mertens: np.ndarray                 # int64, mertens[0] = 0
-    squarefree: np.ndarray              # bool
-    omega: Optional[np.ndarray] = None  # int8
-    jordan2: Optional[np.ndarray] = field(default=None, repr=False)  # int64
+    mu: np.ndarray          # int8
+    mertens: np.ndarray     # int64, mertens[0] = 0
+    squarefree: np.ndarray  # bool
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -86,16 +80,13 @@ class MoebiusTable:
 _table_memo: dict[int, MoebiusTable] = {}
 
 
-def _table_from_mu(limit: int, mu: np.ndarray, omega: Optional[np.ndarray]) -> MoebiusTable:
+def _table_from_mu(limit: int, mu: np.ndarray) -> MoebiusTable:
     """Derive Mertens and the square-free flags from ``mu``; freeze the arrays."""
     mertens_arr = np.zeros(limit + 1, dtype=np.int64)
     np.cumsum(mu[1:], dtype=np.int64, out=mertens_arr[1:])
-    table = MoebiusTable(
-        limit=limit, mu=mu, mertens=mertens_arr, squarefree=mu != 0, omega=omega
-    )
-    for arr in (mu, mertens_arr, table.squarefree, omega):
-        if arr is not None:
-            arr.setflags(write=False)
+    table = MoebiusTable(limit=limit, mu=mu, mertens=mertens_arr, squarefree=mu != 0)
+    for arr in (mu, mertens_arr, table.squarefree):
+        arr.setflags(write=False)
     return table
 
 
@@ -130,15 +121,16 @@ def _large_prime_part(limit: int, primes: list[int]) -> np.ndarray:
 
 
 def build_tables(limit: int) -> MoebiusTable:
-    """Sieve mu, M, omega and square-free flags up to ``limit``.
+    """Sieve mu, M and square-free flags up to ``limit``.
 
     Strided numpy passes over the primes p <= isqrt(limit) only: each
-    adds 1 to omega on the multiples of p and clears the multiples of
-    p^2 from the square-free indicator, and ``_large_prime_part`` finds
-    the one prime factor above isqrt(limit) that n may have, which adds
-    1 more.  Then mu(n) = (-1)^omega(n) on the square-free n and 0
-    elsewhere.  Output is deterministic for a given limit; the arrays
-    are read-only, and the most recent table is memoized.
+    adds 1 to a local count k(n) of distinct prime factors on the
+    multiples of p and clears the multiples of p^2 from mu, and
+    ``_large_prime_part`` finds the one prime factor above isqrt(limit)
+    that n may have, which adds 1 more.  Then mu(n) = (-1)^k(n) on the
+    square-free n and 0 elsewhere; the count is not kept.  Output is
+    deterministic for a given limit; the arrays are read-only, and the
+    most recent table is memoized.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -152,47 +144,66 @@ def build_tables(limit: int) -> MoebiusTable:
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    omega = np.zeros(limit + 1, dtype=np.int8)
+    prime_count = np.zeros(limit + 1, dtype=np.int8)
     for p in primes:
-        omega[p::p] += 1
+        prime_count[p::p] += 1
         mu[p * p :: p * p] = 0
-    omega += (_large_prime_part(limit, primes) > 1).view(np.int8)
-    mu *= 1 - 2 * (omega & 1)
+    prime_count += (_large_prime_part(limit, primes) > 1).view(np.int8)
+    mu *= 1 - 2 * (prime_count & 1)
 
-    table = _table_from_mu(limit, mu, omega)
+    table = _table_from_mu(limit, mu)
     _table_memo[limit] = table
     return table
 
 
-def build_jordan2(table: MoebiusTable) -> MoebiusTable:
-    """Attach the read-only J2 array to ``table`` (idempotent).
+def _jordan2_upto(n: int) -> np.ndarray:
+    """Read-only int64 array of J2(d) for d = 0..n (J2(0) = 0).
 
     J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively: start
-    from d^2 and, for each prime p <= isqrt(limit), replace a factor p^2
-    with p^2 - 1; then the same for the one prime q above isqrt(limit)
-    that d may have.  The running value stays divisible by p^2 at each
+    from d^2 and, for each prime p <= isqrt(n), replace a factor p^2
+    with p^2 - 1; then the same for the one prime q above isqrt(n) that
+    d may have.  The running value stays divisible by p^2 at each
     division step, so integer arithmetic is exact.
     """
-    if table.jordan2 is not None:
-        return table
-    limit = table.limit
-    primes = _primes_upto(math.isqrt(limit))
-    j2 = np.arange(limit + 1, dtype=np.int64)
+    primes = _primes_upto(math.isqrt(n))
+    j2 = np.arange(n + 1, dtype=np.int64)
     j2 *= j2
     for p in primes:
         pp = p * p
         multiples = j2[p::p]
         multiples //= pp
         multiples *= pp - 1
-    qq = _large_prime_part(limit, primes).astype(np.int64)
+    qq = _large_prime_part(n, primes).astype(np.int64)
     qq[0] = 1  # 0 has no prime part; j2[0] stays 0
     qq *= qq
     j2 //= qq
     qq -= qq > 1  # q^2 - 1 for a large prime q; 1 when there is none
     j2 *= qq
     j2.setflags(write=False)
-    table.jordan2 = j2
-    return table
+    return j2
+
+
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """Read-only int64 array of the smallest prime factor of each k = 0..n
+    (k itself for k < 2 and for the primes).
+
+    Striding the primes p <= isqrt(n) from the largest down, each p
+    claims its multiples from p^2 on, so the smallest one writes last;
+    a k no such p divides is 1 or a prime.
+    """
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in reversed(_primes_upto(math.isqrt(n))):
+        spf[p * p :: p] = p
+    spf.setflags(write=False)
+    return spf
+
+
+def build_jordan2(table: MoebiusTable) -> np.ndarray:
+    """J2(d) for d = 0..table.limit, as a fresh read-only int64 array.
+
+    The table is only read for its limit; J2 does not depend on mu.
+    """
+    return _jordan2_upto(table.limit)
 
 
 def mertens(table: MoebiusTable, n: int) -> int:
@@ -205,14 +216,6 @@ def squarefree_count(table: MoebiusTable, N: int) -> int:
     """Q(N) = number of square-free integers <= N (equals sum mu^2)."""
     table._check_index(N)
     return int(np.count_nonzero(table.squarefree[1 : N + 1]))
-
-
-def jordan2(table: MoebiusTable, d: int) -> int:
-    """J2(d); requires ``build_jordan2`` to have run."""
-    if table.jordan2 is None:
-        raise RuntimeError("jordan2 array not built; call build_jordan2 first")
-    table._check_index(d)
-    return int(table.jordan2[d])
 
 
 def moebius_harmonic(
@@ -352,7 +355,7 @@ def load_cache(path) -> MoebiusTable:
     """Restore a read-only table from a cache file written by ``save_cache``.
 
     Mertens and square-free flags are recomputed from mu (cheap prefix
-    work); omega is left as None since the file carries mu only.
+    work), so a loaded table has the same fields as a sieved one.
     Raises ValueError on a bad magic, a bad header, or a truncated body.
     """
     with open(path, "rb") as fh:
@@ -372,4 +375,4 @@ def load_cache(path) -> MoebiusTable:
     mu[1:] = np.frombuffer(body, dtype=np.int8)
     if mu[1] != 1 or not np.all((mu >= -1) & (mu <= 1)):
         raise ValueError(f"sieve cache in {path} holds values outside {{-1,0,1}}")
-    return _table_from_mu(int(limit), mu, None)
+    return _table_from_mu(int(limit), mu)

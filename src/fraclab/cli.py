@@ -41,7 +41,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import acceptance, arithmetic, exact, figures, series, tails
-from .arithmetic import MoebiusTable, build_jordan2, build_tables, load_cache, save_cache
+from .arithmetic import MoebiusTable, build_tables, load_cache, save_cache
 from .formatting import format_decimal, rational_string
 
 DEFAULT_LIMIT = 10**6
@@ -253,7 +253,6 @@ def cmd_tails(config: RunConfig, cutoffs: List[int], c: float) -> int:
 
 def cmd_verify(config: RunConfig, only: Optional[List[int]]) -> int:
     table = _get_table(config, acceptance.REQUIRED_LIMIT)
-    build_jordan2(table)
     results = acceptance.run_criteria(table, only)
     lines = []
     for r in results:
@@ -369,6 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     config = _config_from(args)
     try:
+        _require_positive("--digits", config.precision_digits)
         if args.command == "sieve":
             return cmd_sieve(config)
         if args.command == "correlate":

@@ -27,6 +27,11 @@ which costs O(N log N).  The fast route leans on the closed-form
 correlation law, so its exact-mode agreement with the direct route is a
 real consistency check, not bookkeeping.
 
+Each route has one implementation, an incremental sweep over N = 1..n_max
+(``correlation_double_sum_sweep``); the single-N functions
+``correlation_double_sum`` and ``correlation_double_sum_fast`` return the
+last row of a sweep to N.
+
 Float results are deterministic run to run.  The float fast sweep keeps
 P, D, A_d and G as integers scaled by FIXED_POINT_SCALE = 2**128 and ends
 each row in one int/int true division, which Python rounds correctly.
@@ -48,18 +53,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .arithmetic import (
     MoebiusTable,
+    _jordan2_upto,
     _range_fsums,
-    jordan2,
-    moebius_harmonic,
+    _smallest_prime_factors,
     squarefree_zeta2_partial,
 )
-from .exact import correlation_closed_form, exact_correlations
+from .exact import exact_correlations
 
 #: limiting value of the correlation double sum
 DOUBLE_SUM_LIMIT = -9.0 / (2.0 * math.pi**2)
@@ -133,7 +138,8 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
     if not math.isfinite(x * Ns[-1]):
         raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
     sums = _range_fsums(partial(_sine_terms, table, x), 1, Ns[-1] + 1, [N + 1 for N in Ns])
-    return [-math.pi * s for s in sums]
+    # 0.0 - pi*s is -pi*s for every nonzero s, and +0.0 (not -0.0) for s = 0
+    return [0.0 - math.pi * s for s in sums]
 
 
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
@@ -176,65 +182,6 @@ def _direct_exact_row(table: MoebiusTable, n: int, below: List[int]) -> Fraction
     return Fraction(2 * int(table.mu[n]), n) * row
 
 
-def correlation_double_sum(
-    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
-) -> SeriesPoint:
-    """S(N) by the direct pair loop over square-free indices.
-
-    Exact mode fetches every C(n, m) from the piecewise integration
-    engine, one batch per n over the square-free m < n, and sums
-    Fractions; it is capped at N <= DIRECT_EXACT_LIMIT
-    because the reduced denominators grow like lcm(1..N)^2.  Float mode
-    uses the closed-form law per pair (the per-pair piecewise sweep
-    would cost O(N^3) total and adds nothing: exact mode already pits
-    the two routes against each other term by term).
-    """
-    table._check_index(N)
-    sf = _squarefree_upto(table, N)
-    if exact:
-        if N > DIRECT_EXACT_LIMIT:
-            raise ValueError(
-                f"exact direct sum capped at N={DIRECT_EXACT_LIMIT}, got {N}"
-            )
-        sf = sf.tolist()
-        total = sum(
-            (_direct_exact_row(table, n, sf[:i]) for i, n in enumerate(sf)), Fraction(0)
-        )
-        return SeriesPoint(N=N, X=x_range, value=total)
-    contribs = []
-    for i, n in enumerate(sf):
-        n = int(n)
-        row = _direct_row_float(table, n, sf[:i])
-        contribs.append(2.0 * int(table.mu[n]) / n * row)
-    return SeriesPoint(N=N, X=x_range, value=math.fsum(contribs))
-
-
-def _spf_jordan2(n_max: int) -> Tuple[List[int], List[int]]:
-    """Smallest prime factor and J2 of every n <= n_max, one linear sieve.
-
-    J2 is multiplicative with J2(p^k) = p^(2k) - p^(2k-2), so crossing
-    off i*p through its smallest prime factor p multiplies J2(i) by p^2
-    when p divides i and by p^2 - 1 otherwise.
-    """
-    spf = [0] * (n_max + 1)
-    j2 = [0] * (n_max + 1)
-    j2[1] = 1
-    primes: List[int] = []
-    for i in range(2, n_max + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            j2[i] = i * i - 1
-        si = spf[i]
-        for p in primes:
-            ip = i * p
-            if p > si or ip > n_max:
-                break
-            spf[ip] = p
-            j2[ip] = j2[i] * (p * p if p == si else p * p - 1)
-    return spf, j2
-
-
 def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
     divs = [1]
     while n > 1:
@@ -242,41 +189,6 @@ def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
         divs += [d * p for d in divs]
         n //= p
     return divs
-
-
-def correlation_double_sum_fast(
-    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
-) -> SeriesPoint:
-    """S(N) through the gcd-grouped O(N log N) rearrangement."""
-    table._check_index(N)
-    if table.jordan2 is None:
-        raise RuntimeError("fast double sum needs jordan2; call build_jordan2 first")
-    if exact:
-        P = moebius_harmonic(table, N, exact=True)
-        D = squarefree_zeta2_partial(table, N, exact=True)
-        G = Fraction(0)
-        for d in range(1, N + 1):
-            a = Fraction(0)
-            for n in range(d, N + 1, d):
-                if table.mu[n]:
-                    a += Fraction(int(table.mu[n]), n * n)
-            if a:
-                G += jordan2(table, d) * a * a
-        value: Union[float, Fraction] = P * P / 4 + G / 12 - D / 3
-    else:
-        n = np.arange(1, N + 1, dtype=np.float64)
-        mun = table.mu[1 : N + 1].astype(np.float64)
-        P = math.fsum((mun / n).tolist())
-        mon2 = mun / (n * n)
-        j2 = table.jordan2
-        gterms = []
-        for d in range(1, N + 1):
-            a = float(np.sum(mon2[d - 1 :: d]))
-            gterms.append(float(j2[d]) * a * a)
-        G = math.fsum(gterms)
-        D = math.fsum((np.abs(mon2)).tolist())  # |mu|/n^2 == mu^2/n^2
-        value = 0.25 * P * P + G / 12.0 - D / 3.0
-    return SeriesPoint(N=N, X=x_range, value=value)
 
 
 def _fast_sweep(
@@ -293,7 +205,8 @@ def _fast_sweep(
             return (2 * num * scale + den) // (2 * den)
 
     mu = table.mu[: n_max + 1].tolist()
-    spf, j2 = _spf_jordan2(n_max)
+    spf = _smallest_prime_factors(n_max).tolist()
+    j2 = _jordan2_upto(n_max).tolist()
     four_scale = 4 * scale
     row_den = 12 * scale * scale
     P = D = G = 0
@@ -325,26 +238,30 @@ def correlation_double_sum_sweep(
 ) -> List[SeriesPoint]:
     """S(N) for every N = 1..n_max, computed incrementally.
 
-    Exact modes accumulate Fractions, so each sweep entry equals the
-    corresponding single-N call identically.  Both fast sweeps run one
-    loop: each new square-free n updates P, D, G and A_d for every d | n,
-    with divisors and J2 from a smallest-prime-factor sieve to n_max, so
-    they do not read ``table.jordan2``.  The float fast sweep carries the
-    sums as integers scaled by FIXED_POINT_SCALE and rounds each row
-    once.  The float direct sweep shares pair work across N and re-sums
-    the prefix with fsum for each point.
+    Exact modes accumulate Fractions.  Both fast sweeps run one loop:
+    each new square-free n updates P, D, G and A_d for every d | n, with
+    divisors from the smallest prime factors to n_max and J2 to n_max
+    (``arithmetic._smallest_prime_factors``, ``arithmetic._jordan2_upto``).
+    The float fast sweep carries the sums as integers scaled by
+    FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
+    one row of pairs (n, m < n) per square-free n: exact mode fetches
+    every C(n, m) of the row from the piecewise integration engine in
+    one batch and sums Fractions, capped at n_max <= DIRECT_EXACT_LIMIT
+    because the reduced denominators grow like lcm(1..N)^2; float mode
+    uses the closed-form law per pair and re-sums the rows with fsum for
+    each point.
     """
     table._check_index(n_max)
     if fast:
         return _fast_sweep(table, n_max, exact, x_range)
-    points: List[SeriesPoint] = []
     if exact and n_max > DIRECT_EXACT_LIMIT:
         raise ValueError(
             f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"
         )
+    points: List[SeriesPoint] = []
     sf_flags = table.squarefree
-    seen: List[int] = []
     if exact:
+        seen: List[int] = []
         total = Fraction(0)
         for n in range(1, n_max + 1):
             if sf_flags[n]:
@@ -352,15 +269,33 @@ def correlation_double_sum_sweep(
                 seen.append(n)
             points.append(SeriesPoint(N=n, X=x_range, value=total))
         return points
+    sf = _squarefree_upto(table, n_max)
     contribs: List[float] = []
-    below = np.array([], dtype=np.int64)
     for n in range(1, n_max + 1):
         if sf_flags[n]:
-            row = _direct_row_float(table, n, below)
+            row = _direct_row_float(table, n, sf[: len(contribs)])
             contribs.append(2.0 * int(table.mu[n]) / n * row)
-            below = np.append(below, n)
         points.append(SeriesPoint(N=n, X=x_range, value=math.fsum(contribs)))
     return points
+
+
+def correlation_double_sum(
+    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
+) -> SeriesPoint:
+    """S(N) by the direct pair loop: the last row of the direct sweep."""
+    return correlation_double_sum_sweep(
+        table, N, fast=False, exact=exact, x_range=x_range
+    )[-1]
+
+
+def correlation_double_sum_fast(
+    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
+) -> SeriesPoint:
+    """S(N) through the gcd-grouped rearrangement: the last row of the
+    fast sweep."""
+    return correlation_double_sum_sweep(
+        table, N, fast=True, exact=exact, x_range=x_range
+    )[-1]
 
 
 def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:

@@ -10,11 +10,11 @@ settings.load_profile("fraclab")
 
 @pytest.fixture(scope="session")
 def table6():
-    """Shared sieve to 10^6 with the Jordan array attached."""
-    return fraclab.build_jordan2(fraclab.build_tables(10**6))
+    """Shared sieve to 10^6."""
+    return fraclab.build_tables(10**6)
 
 
 @pytest.fixture(scope="session")
 def table4():
     """Small shared sieve to 10^4."""
-    return fraclab.build_jordan2(fraclab.build_tables(10**4))
+    return fraclab.build_tables(10**4)

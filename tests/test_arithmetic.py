@@ -1,5 +1,6 @@
 """Sieve correctness: definitions, divisor identities, partial sums."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -32,20 +33,25 @@ def mobius_bruteforce(n):
 
 
 def linear_sieve(limit):
-    """mu and omega of 0..limit from the linear (smallest-prime-factor)
-    sieve that ``build_tables`` used before its numpy passes; the oracle
-    for them."""
+    """mu, the smallest prime factor and J2 of 0..limit from the linear
+    sieve that ``build_tables`` and the fast sweeps used before their
+    numpy passes; the oracle for them.  The smallest prime factor of 0
+    and 1 is taken to be 0 and 1.
+
+    Crossing off i*p through its smallest prime factor p multiplies
+    J2(i) by p^2 when p divides i and by p^2 - 1 otherwise.
+    """
     mu = [0] * (limit + 1)
-    omega = [0] * (limit + 1)
     spf = [0] * (limit + 1)
+    j2 = [0] * (limit + 1)
     primes = []
-    mu[1] = 1
+    mu[1] = j2[1] = 1
     for i in range(2, limit + 1):
         if spf[i] == 0:
             spf[i] = i
             primes.append(i)
             mu[i] = -1
-            omega[i] = 1
+            j2[i] = i * i - 1
         si = spf[i]
         for p in primes:
             ip = i * p
@@ -54,11 +60,12 @@ def linear_sieve(limit):
             spf[ip] = p
             if p == si:
                 mu[ip] = 0
-                omega[ip] = omega[i]
+                j2[ip] = j2[i] * p * p
             else:
                 mu[ip] = -mu[i]
-                omega[ip] = omega[i] + 1
-    return mu, omega
+                j2[ip] = j2[i] * (p * p - 1)
+    spf[1] = 1
+    return mu, spf, j2
 
 
 def test_numpy_sieve_matches_linear_sieve():
@@ -67,30 +74,44 @@ def test_numpy_sieve_matches_linear_sieve():
     limits = list(range(1, 301))
     for p in sympy.primerange(2, 998):
         limits += [p * p - 1, p * p, p * p + 1]
-    mu, omega = (np.array(a, dtype=np.int8) for a in linear_sieve(max(limits)))
+    mu = np.array(linear_sieve(max(limits))[0], dtype=np.int8)
     for limit in limits:
         t = fraclab.build_tables(limit)
         assert np.array_equal(t.mu, mu[: limit + 1]), limit
-        assert np.array_equal(t.omega, omega[: limit + 1]), limit
+
+
+def test_sweep_factor_tables_match_linear_sieve():
+    # the smallest prime factors and J2 the fast sweeps read, at every
+    # limit up to 300, around p^2 for each prime p <= 101, and at 10^5
+    limits = list(range(1, 301)) + [10**5]
+    for p in sympy.primerange(2, 102):
+        limits += [p * p - 1, p * p, p * p + 1]
+    _, spf, j2 = (np.array(a, dtype=np.int64) for a in linear_sieve(max(limits)))
+    for limit in limits:
+        assert np.array_equal(arithmetic._smallest_prime_factors(limit), spf[: limit + 1])
+        assert np.array_equal(arithmetic._jordan2_upto(limit), j2[: limit + 1])
+
+
+@pytest.fixture(scope="module")
+def jordan2_6(table6):
+    return fraclab.build_jordan2(table6)
 
 
 @given(n=st.integers(1, 10**6))
-def test_sieve_and_jordan2_match_factorint(table6, n):
+def test_sieve_and_jordan2_match_factorint(table6, jordan2_6, n):
     factors = sympy.factorint(n)
     squarefree = all(e == 1 for e in factors.values())
     assert int(table6.mu[n]) == ((-1) ** len(factors) if squarefree else 0)
-    assert int(table6.omega[n]) == len(factors)
     j2 = n * n
     for p in factors:
         j2 = j2 // (p * p) * (p * p - 1)
-    assert int(table6.jordan2[n]) == j2
+    assert int(jordan2_6[n]) == j2
 
 
 def test_limit_one():
     t = fraclab.build_tables(1)
     assert t.mu[1:].tolist() == [1]
     assert t.mertens[1:].tolist() == [1]
-    assert t.omega[1:].tolist() == [0]
 
 
 def test_first_six_values():
@@ -133,13 +154,6 @@ def test_mertens_and_squarefree_count_at_1e7():
 def test_mertens_difference_is_mu(table4):
     m = table4.mertens
     assert np.array_equal((m[1:] - m[:-1]).astype(np.int8), table4.mu[1:])
-
-
-def test_mu_matches_definition_via_omega(table4):
-    mu = table4.mu[1:].astype(int)
-    om = table4.omega[1:].astype(int)
-    expected = np.where(mu == 0, 0, (-1) ** om)
-    assert np.array_equal(mu, expected)
 
 
 def test_divisor_sum_vanishes(table4):
@@ -212,29 +226,19 @@ def test_zeta2_paths_agree_at_crossover(table6):
 
 
 def test_jordan2_values(table4):
-    assert fraclab.jordan2(table4, 1) == 1
-    assert fraclab.jordan2(table4, 2) == 3
-    assert sum(fraclab.jordan2(table4, d) for d in (1, 2, 3, 6)) == 36
+    j2 = fraclab.build_jordan2(table4)
+    assert j2.dtype == np.int64 and j2.shape == (table4.limit + 1,)
+    assert j2[:3].tolist() == [0, 1, 3]
+    assert sum(int(j2[d]) for d in (1, 2, 3, 6)) == 36
 
 
 def test_jordan2_divisor_identity(table4):
     acc = np.zeros(10**4 + 1, dtype=np.int64)
-    j2 = table4.jordan2
+    j2 = fraclab.build_jordan2(table4)
     for d in range(1, 10**4 + 1):
         acc[d::d] += j2[d]
     k = np.arange(10**4 + 1, dtype=np.int64)
     assert np.array_equal(acc[1:], (k * k)[1:])
-
-
-def test_jordan2_requires_build():
-    fresh = arithmetic.MoebiusTable(
-        limit=3,
-        mu=np.array([0, 1, -1, -1], dtype=np.int8),
-        mertens=np.array([0, 1, 0, -1], dtype=np.int64),
-        squarefree=np.array([False, True, True, True]),
-    )
-    with pytest.raises(RuntimeError):
-        fraclab.jordan2(fresh, 2)
 
 
 def test_build_tables_memoized():
@@ -248,11 +252,33 @@ def test_memo_keeps_only_the_latest_table():
 
 
 def test_table_arrays_are_read_only(tmp_path):
-    t = fraclab.build_jordan2(fraclab.build_tables(1000))
+    t = fraclab.build_tables(1000)
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(t, path)
     loaded = fraclab.load_cache(path)
-    for arr in (t.mu, t.mertens, t.squarefree, t.omega, t.jordan2, loaded.mu,
+    for arr in (t.mu, t.mertens, t.squarefree, fraclab.build_jordan2(t), loaded.mu,
                 loaded.mertens, loaded.squarefree):
         with pytest.raises(ValueError, match="read-only"):
             arr[1] = 0
+
+
+def test_table_shape(tmp_path):
+    t = fraclab.build_tables(1000)
+    names = [f.name for f in dataclasses.fields(fraclab.MoebiusTable)]
+    assert names == ["limit", "mu", "mertens", "squarefree"]
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(t, path)
+    loaded = fraclab.load_cache(path)
+    for name in names[1:]:  # same arrays, dtypes and values, sieved or loaded
+        ours, theirs = getattr(t, name), getattr(loaded, name)
+        assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours), name
+    assert loaded.limit == t.limit
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.mu = loaded.mu
+    before = {name: np.copy(getattr(t, name)) for name in names}
+    j2 = fraclab.build_jordan2(t)
+    assert not j2.flags.writeable
+    assert fraclab.build_tables(1000) is t
+    assert sorted(vars(t)) == sorted(names)
+    for name in names:
+        assert np.array_equal(getattr(t, name), before[name]), name

@@ -19,7 +19,6 @@ def test_round_trip(tmp_path):
     assert np.array_equal(loaded.mu, table.mu)
     assert np.array_equal(loaded.mertens, table.mertens)
     assert np.array_equal(loaded.squarefree, table.squarefree)
-    assert loaded.omega is None  # the file carries mu only
 
 
 def test_file_layout(tmp_path):

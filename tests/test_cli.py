@@ -144,6 +144,37 @@ def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["tails"],
+        ["series", "--n-max", "10"],
+        ["sine-series", "--x", "0.25"],
+        ["correlate", "--n", "5", "--m", "6"],
+        ["verify", "--only", "5"],
+    ],
+)
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_bad_digits_rejected_before_sieving(monkeypatch, capsys, args, digits):
+    monkeypatch.setattr(cli, "build_tables", None)  # no sieve before the check
+    rc, out, err = run_cli(args + ["--digits", digits], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"fraclab: error: --digits must be >= 1, got {digits}\n"
+
+
+@pytest.mark.parametrize("x", ["0", "2"])
+def test_sine_series_at_integer_x_prints_no_negative_zero(capsys, x):
+    rc, out, _ = run_cli(
+        ["sine-series", "--x", x, "--n-max", "1000", "--points", "5", "--limit", "1000"],
+        capsys,
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "6", "32", "178", "1000"]
+    assert {row[2] for row in rows} == {"0"}
+
+
+@pytest.mark.parametrize(
     "args, cached, sieved",
     [
         (["series", "--n-max", "60"], False, 60),

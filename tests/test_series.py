@@ -1,12 +1,12 @@
 """Series partial sums: sine series, double sum routes, identities."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 import fraclab
 from fraclab import arithmetic, cli, series
@@ -29,7 +29,14 @@ def test_sawtooth_fourier_rejects_integers():
 
 
 def test_sine_series_at_zero(table4):
-    assert fraclab.sine_series_partial(table4, 50, 0.0) == 0.0
+    # every {n*0} is 0, so the sum is +0.0 (float.hex tells it from -0.0)
+    assert fraclab.sine_series_partial(table4, 50, 0.0).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("x", [2.0, -3.0])
+def test_sine_series_at_integers(table4, x):
+    # every {nx} is 0 at an integer x too, so the sum is +0.0 there as well
+    assert fraclab.sine_series_partial(table4, 50, x).hex() == (0.0).hex()
 
 
 def test_sine_series_single_term(table4):
@@ -52,10 +59,11 @@ def test_sine_series_chunks_sum_like_one_array(table6):
 
 def oracle_sine_partials(table, Ns, x):
     # the per-N fsum over the term list, as it was before the one-pass
-    # binned sums; the terms are built the same way, elementwise
+    # binned sums; the terms are built the same way, elementwise, and an
+    # all-zero sum gives +0.0
     n = np.arange(1, max(Ns) + 1, dtype=np.float64)
     terms = table.mu[1 : max(Ns) + 1].astype(np.float64) / n * ((n * x) % 1.0)
-    return [-math.pi * math.fsum(terms[:N].tolist()) for N in Ns]
+    return [0.0 - math.pi * math.fsum(terms[:N].tolist()) for N in Ns]
 
 
 def bits(values):
@@ -148,32 +156,72 @@ def test_float_fast_sweep_is_correctly_rounded(table4):
     assert [p.value for p in floats] == [float(p.value) for p in exact]
 
 
-def test_fast_sweeps_need_no_jordan_table(table4):
-    bare = dataclasses.replace(table4, jordan2=None)
-    exact = fraclab.correlation_double_sum_sweep(bare, 200, fast=True, exact=True)
-    floats = fraclab.correlation_double_sum_sweep(bare, 200, fast=True, exact=False)
-    for N in (1, 97, 200):
-        spot = fraclab.correlation_double_sum_fast(table4, N, exact=True).value
-        assert exact[N - 1].value == spot
-        assert floats[N - 1].value == float(spot)
+def jordan2_factorint(d):
+    # J2(d) = d^2 prod_{p | d} (1 - 1/p^2), from sympy's factorization
+    j2 = d * d
+    for p in sympy.factorint(d):
+        j2 = j2 // (p * p) * (p * p - 1)
+    return j2
 
 
-def test_sweep_jordan2_matches_build_jordan2(table6):
-    _, j2 = series._spf_jordan2(10**5)
-    assert j2 == table6.jordan2[: 10**5 + 1].tolist()
+def oracle_gcd_grouped(table, N, j2):
+    """S(N) = P^2/4 + (1/12) sum_{d<=N} J2(d) A_d^2 - D/3, summed afresh
+    for this N with A_d = sum_{n<=N, d|n} mu(n)/n^2: the non-incremental
+    gcd-grouped formula, with J2 passed in."""
+    mu = [int(v) for v in table.mu[: N + 1]]
+    P = sum((Fraction(mu[n], n) for n in range(1, N + 1) if mu[n]), Fraction(0))
+    D = sum((Fraction(1, n * n) for n in range(1, N + 1) if mu[n]), Fraction(0))
+    G = Fraction(0)
+    for d in range(1, N + 1):
+        a = sum(
+            (Fraction(mu[n], n * n) for n in range(d, N + 1, d) if mu[n]), Fraction(0)
+        )
+        G += j2[d] * a * a
+    return P * P / 4 + G / 12 - D / 3
+
+
+def test_exact_sweeps_match_gcd_grouped_oracle(table4):
+    j2 = [0] + [jordan2_factorint(d) for d in range(1, 201)]
+    expected = [oracle_gcd_grouped(table4, N, j2) for N in range(1, 201)]
+    for fast in (True, False):
+        sweep = fraclab.correlation_double_sum_sweep(table4, 200, fast=fast, exact=True)
+        assert [p.value for p in sweep] == expected, fast
+
+
+def oracle_direct_float_sweep(table, n_max):
+    # the direct float sweep as it was with a growing ``below`` array
+    contribs, values = [], []
+    below = np.array([], dtype=np.int64)
+    for n in range(1, n_max + 1):
+        if table.squarefree[n]:
+            row = series._direct_row_float(table, n, below)
+            contribs.append(2.0 * int(table.mu[n]) / n * row)
+            below = np.append(below, n)
+        values.append(math.fsum(contribs))
+    return values
+
+
+def test_direct_float_sweep_matches_growing_array_oracle(table4):
+    sweep = fraclab.correlation_double_sum_sweep(table4, 1500, fast=False)
+    assert bits(p.value for p in sweep) == bits(oracle_direct_float_sweep(table4, 1500))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("exact", [True, False])
+def test_single_n_calls_are_sweep_rows(table4, fast, exact):
+    n_max = 120
+    single = fraclab.correlation_double_sum_fast if fast else fraclab.correlation_double_sum
+    sweep = fraclab.correlation_double_sum_sweep(table4, n_max, fast=fast, exact=exact)
+    for N in (1, 2, 97, n_max):
+        point = single(table4, N, exact=exact, x_range=7)
+        assert (point.N, point.X) == (N, 7)
+        assert type(point.value) is type(sweep[N - 1].value)
+        assert point.value == sweep[N - 1].value
 
 
 def test_exact_direct_guard(table4):
     with pytest.raises(ValueError):
         fraclab.correlation_double_sum(table4, DIRECT_EXACT_LIMIT + 1, exact=True)
-
-
-def test_fast_requires_jordan():
-    bare = fraclab.build_tables(50)
-    if bare.jordan2 is not None:  # table memoization may have attached it already
-        pytest.skip("memoized table already has jordan2")
-    with pytest.raises(RuntimeError):
-        fraclab.correlation_double_sum_fast(bare, 10)
 
 
 def test_float_routes_agree_on_grid(table6):
