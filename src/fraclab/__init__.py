@@ -23,12 +23,9 @@ from .arithmetic import (
 from .exact import (
     CorrelationValue,
     correlation_closed_form,
-    cross_moment,
     exact_correlation,
     exact_correlations,
     expected_correlation,
-    floor_second_moment,
-    mean_square_fractional,
 )
 from .series import (
     DOUBLE_SUM_LIMIT,
@@ -36,21 +33,15 @@ from .series import (
     correlation_double_sum,
     correlation_double_sum_fast,
     correlation_double_sum_sweep,
-    mobius_double_fourier,
     residual_moment_report,
-    sawtooth_fourier_partial,
     sine_series_partial,
     sine_series_partials,
-    sine_series_residual,
     sine_squared_identity_gap,
-    squared_residual,
-    trig_moments,
 )
 from .tails import (
     TailReport,
     abel_identity_check,
     classical_bound_report,
-    floor_sum_identity_check,
     mertens_ratio_strictly_decreasing,
     tail_integral_u1,
     tail_integral_u2,
@@ -70,30 +61,21 @@ __all__ = [
     "squarefree_zeta2_partial",
     "CorrelationValue",
     "correlation_closed_form",
-    "cross_moment",
     "exact_correlation",
     "exact_correlations",
     "expected_correlation",
-    "floor_second_moment",
-    "mean_square_fractional",
     "DOUBLE_SUM_LIMIT",
     "SeriesPoint",
     "correlation_double_sum",
     "correlation_double_sum_fast",
     "correlation_double_sum_sweep",
-    "mobius_double_fourier",
     "residual_moment_report",
-    "sawtooth_fourier_partial",
     "sine_series_partial",
     "sine_series_partials",
-    "sine_series_residual",
     "sine_squared_identity_gap",
-    "squared_residual",
-    "trig_moments",
     "TailReport",
     "abel_identity_check",
     "classical_bound_report",
-    "floor_sum_identity_check",
     "mertens_ratio_strictly_decreasing",
     "tail_integral_u1",
     "tail_integral_u2",

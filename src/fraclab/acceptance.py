@@ -44,22 +44,38 @@ class CriterionResult:
     seconds: float
 
 
-def correlation_quadrature(n: int, m: int, target_error: float = 2e-10) -> float:
+#: error bound the quadrature oracle sizes its panels for
+QUADRATURE_ERROR = 2e-10
+
+#: points per block of breakpoint rows in the quadrature oracle; bounds
+#: its float arrays at about 8 MiB each
+QUADRATURE_BLOCK = 1 << 20
+
+
+def correlation_quadrature(n: int, m: int) -> float:
     """Composite-midpoint estimate of integral_0^1 {nx}{mx} dx.
 
     Independent of the exact engine: float breakpoints, float floors,
     plain averaging.  The integrand is quadratic between breakpoints
-    with second derivative exactly 2nm, so the panel count needed for a
-    requested error bound follows from the midpoint error formula.
+    with second derivative exactly 2nm, so the panel count needed for
+    the error bound QUADRATURE_ERROR follows from the midpoint error
+    formula.  The rows of breakpoint intervals are evaluated in blocks of
+    about QUADRATURE_BLOCK points; each row's mean is the same reduction
+    whatever the block, so the blocks do not change the result.
     """
     bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
     w = np.diff(bp)
     s3 = float(np.sum(w**3))
-    panels = max(64, int(math.sqrt(n * m * s3 / (12.0 * target_error))) + 1)
+    panels = max(64, int(math.sqrt(n * m * s3 / (12.0 * QUADRATURE_ERROR))) + 1)
     offsets = (np.arange(panels) + 0.5) / panels
-    xs = bp[:-1][:, None] + w[:, None] * offsets[None, :]
-    f = (n * xs - np.floor(n * xs)) * (m * xs - np.floor(m * xs))
-    return float(np.sum(f.mean(axis=1) * w))
+    left = bp[:-1]
+    rows = max(1, QUADRATURE_BLOCK // panels)
+    means = np.empty(len(w))
+    for i in range(0, len(w), rows):
+        xs = left[i : i + rows, None] + w[i : i + rows, None] * offsets[None, :]
+        f = (n * xs - np.floor(n * xs)) * (m * xs - np.floor(m * xs))
+        means[i : i + rows] = f.mean(axis=1)
+    return float(np.sum(means * w))
 
 
 # ---------------------------------------------------------------------------

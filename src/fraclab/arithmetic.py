@@ -53,10 +53,6 @@ MAX_LIMIT = 10**8
 #: crossover between exact-Fraction and compensated-float accumulation
 EXACT_SUM_LIMIT = 10**4
 
-ZETA2 = math.pi**2 / 6.0
-ZETA4 = math.pi**4 / 90.0
-SQUAREFREE_DENSITY = 1.0 / ZETA2  # 6/pi^2
-
 CACHE_MAGIC = b"MUV1"
 
 

@@ -352,6 +352,16 @@ def _criterion_numbers(text: str) -> List[int]:
     return numbers
 
 
+def _cutoffs(text: str) -> List[int]:
+    try:
+        cutoffs = sorted({int(v) for v in text.split(",") if v.strip()})
+    except ValueError:
+        cutoffs = []
+    if not cutoffs or cutoffs[0] < 1:
+        raise ConfigError(f"--cutoffs needs one or more integers >= 1, got {text!r}")
+    return cutoffs
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cache = args.cache if args.cache else os.environ.get(CACHE_ENV_VAR) or None
     return RunConfig(
@@ -382,12 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "figure2":
             return cmd_figure2(config, args.n_max)
         if args.command == "tails":
-            cutoffs = sorted({int(v) for v in args.cutoffs.split(",") if v.strip()})
-            if not cutoffs or cutoffs[0] < 1:
-                raise ConfigError(
-                    f"--cutoffs needs one or more integers >= 1, got {args.cutoffs!r}"
-                )
-            return cmd_tails(config, cutoffs, args.c)
+            return cmd_tails(config, _cutoffs(args.cutoffs), args.c)
         if args.command == "verify":
             only = _criterion_numbers(args.only) if args.only else None
             return cmd_verify(config, only)

@@ -1,4 +1,4 @@
-"""Exact rational averages of products of fractional parts and floors.
+"""Exact rational averages of products of fractional parts.
 
 The central object is the single-period correlation
 
@@ -268,74 +268,3 @@ def closed_form_value(n: int, m: int, X: int) -> CorrelationValue:
         method=METHOD_CLOSED_FORM,
     )
 
-
-# ---------------------------------------------------------------------------
-# Floor and cross moments over [0, X]
-# ---------------------------------------------------------------------------
-
-#: above this nX the brute stepwise verification loops are skipped
-_STEPWISE_VERIFY_LIMIT = 10**5
-
-
-def _floor_square_stepwise(nX: int) -> Fraction:
-    # (1/nX) * sum_{k=1}^{nX-1} k^2, each term k^2 * (length-1 interval)
-    return Fraction(sum(k * k for k in range(1, nX)), nX)
-
-
-def _cross_stepwise(nX: int) -> Fraction:
-    # (1/nX) * sum_k k * integral_k^{k+1} u du = (1/nX) * sum_k k((k+1)^2-k^2)/2
-    return Fraction(sum(k * ((k + 1) ** 2 - k * k) for k in range(1, nX)), 2 * nX)
-
-
-def floor_second_moment(n: int, X: int) -> Fraction:
-    """E_X(floor(nx)^2) = (nX - 1)(2nX - 1) / 6.
-
-    The closed form is re-derived per call from the power-sum formula
-    sum k^2 = K(K+1)(2K+1)/6 with K = nX - 1, and for small nX also
-    against the literal stepwise sum, so an algebra slip cannot survive
-    silently.
-    """
-    if n < 1 or X < 1:
-        raise ValueError(f"n and X must be positive integers, got ({n}, {X})")
-    nX = n * X
-    K = nX - 1
-    closed = Fraction(K * (2 * nX - 1), 6)
-    faulhaber = Fraction(K * (K + 1) * (2 * K + 1), 6 * nX)
-    if closed != faulhaber:
-        raise AssertionError(f"floor moment simplification broke at nX={nX}")
-    if nX <= _STEPWISE_VERIFY_LIMIT and closed != _floor_square_stepwise(nX):
-        raise AssertionError(f"floor moment stepwise check broke at nX={nX}")
-    return closed
-
-
-def cross_moment(n: int, X: int) -> Fraction:
-    """E_X(nx * floor(nx)) = (nX - 1)(2nX - 1)/6 + (nX - 1)/4.
-
-    Verified against the exact piecewise integration of u*floor(u)
-    (substituting u = nx) whenever nX is small enough to loop.
-    """
-    if n < 1 or X < 1:
-        raise ValueError(f"n and X must be positive integers, got ({n}, {X})")
-    nX = n * X
-    K = nX - 1
-    value = Fraction(K * (2 * nX - 1), 6) + Fraction(K, 4)
-    if nX <= _STEPWISE_VERIFY_LIMIT and value != _cross_stepwise(nX):
-        raise AssertionError(f"cross moment stepwise check broke at nX={nX}")
-    return value
-
-
-def mean_square_fractional(n: int, X: int) -> Fraction:
-    """E_X({nx}^2) assembled from the moment chain, not shortcut to 1/3.
-
-    {nx}^2 = (nx)^2 - 2 nx floor(nx) + floor(nx)^2, and
-    E_X((nx)^2) = n^2 X^2 / 3 exactly, so the chain
-
-        n^2 X^2 / 3 - 2 * cross_moment + floor_second_moment
-
-    must collapse to 1/3 for every (n, X); tests enforce that collapse.
-    """
-    return (
-        Fraction(n * n * X * X, 3)
-        - 2 * cross_moment(n, X)
-        + floor_second_moment(n, X)
-    )

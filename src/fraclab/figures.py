@@ -16,11 +16,14 @@ from typing import List, Sequence
 from .arithmetic import MoebiusTable
 from .exact import expected_correlation
 from .formatting import format_decimal, rational_string
-from .series import SeriesPoint, correlation_double_sum_sweep
+from .series import DOUBLE_SUM_LIMIT, SeriesPoint, correlation_double_sum_sweep
 
 FIGURE1_M = 6
 FIGURE1_N_MAX = 12
 FIGURE1_X = 100
+
+#: the X column of series rows
+SERIES_X = 100
 
 
 def _relation(n: int, m: int) -> str:
@@ -69,7 +72,13 @@ def figure1_csv(digits: int = 15) -> str:
 
 
 def points_csv(points: Sequence[SeriesPoint], digits: int = 15) -> str:
-    """Series sweep rows: N, X, value, target, abs_error."""
+    """Series sweep rows: N, X, value, target, abs_error.
+
+    S(N) does not depend on X, since E_X({nx}{mx}) = C(n, m) for every
+    integer X; the X column is always SERIES_X and the target always
+    DOUBLE_SUM_LIMIT.
+    """
+    target = format_decimal(DOUBLE_SUM_LIMIT, digits)
     out = io.StringIO()
     out.write("N,X,value,target,abs_error\n")
     for pt in points:
@@ -77,23 +86,15 @@ def points_csv(points: Sequence[SeriesPoint], digits: int = 15) -> str:
             "%d,%d,%s,%s,%s\n"
             % (
                 pt.N,
-                pt.X,
+                SERIES_X,
                 format_decimal(pt.value, digits),
-                format_decimal(pt.target, digits),
+                target,
                 format_decimal(pt.abs_error, digits),
             )
         )
     return out.getvalue()
 
 
-def figure2_points(
-    table: MoebiusTable, n_max: int = 100, fast: bool = True
-) -> List[SeriesPoint]:
-    return correlation_double_sum_sweep(
-        table, n_max, fast=fast, exact=False, x_range=FIGURE1_X
-    )
-
-
 def figure2_csv(table: MoebiusTable, n_max: int = 100, fast: bool = True,
                 digits: int = 15) -> str:
-    return points_csv(figure2_points(table, n_max, fast=fast), digits)
+    return points_csv(correlation_double_sum_sweep(table, n_max, fast=fast), digits)

@@ -1,12 +1,12 @@
 """Partial-sum engines for the Moebius-weighted sawtooth series.
 
-Three families live here, all over a shared MoebiusTable:
+Two families live here, both over a shared MoebiusTable:
 
-* the sawtooth Fourier partial sum  1/2 - (1/pi) sum_{k<=K} sin(2 pi k x)/k,
-  which converges to {x} off the integers;
-* the sine series  -pi sum_{n<=N} mu(n)/n {nx}  -> sin(2 pi x), with its
-  residual eps_N(x) and the squared-equation residual
-  eps~_N(x) = 2 sin(2 pi x) eps_N(x) + eps_N(x)^2;
+* the sine series  -pi sum_{n<=N} mu(n)/n {nx}  -> sin(2 pi x), with the
+  expansion of its square (``sine_squared_identity_gap``) and the
+  bookkeeping of the squared-equation residual
+  eps~_N(x) = 2 sin(2 pi x) eps_N(x) + eps_N(x)^2, where eps_N(x) is the
+  truncated series minus sin(2 pi x) (``residual_moment_report``);
 * the off-diagonal correlation double sum
 
       S(N) = sum_{n != m <= N} mu(n) mu(m) / (nm) * C(n, m),
@@ -78,41 +78,26 @@ SQUARED_IDENTITY_LIMIT = 500
 #: fixed-point scale of the float fast sweep
 FIXED_POINT_SCALE = 2**128
 
+#: Simpson panels over the one period [0, 1] of the residual bookkeeping
+MOMENT_PANELS = 10**4
+
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass
 class SeriesPoint:
-    """One truncation of a series sweep.
+    """One truncation S(N) of a double-sum sweep.
 
-    X is the expectation range the sweep is reported at; the underlying
-    correlations are X-independent, so it is recorded for output
-    fidelity only.  ``abs_error`` is always recomputed from the stored
-    value and target, never cached.
+    ``abs_error`` is always recomputed from the stored value, never
+    cached.
     """
 
     N: int
-    X: int
     value: Union[float, Fraction]
-    target: float = DOUBLE_SUM_LIMIT
 
     @property
     def abs_error(self) -> float:
-        return abs(float(self.value) - self.target)
-
-
-def sawtooth_fourier_partial(K: int, x: float) -> float:
-    """1/2 - (1/pi) sum_{k<=K} sin(2 pi k x) / k.
-
-    Rejects integer x: there the series value 1/2 is not {x} = 0.
-    """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if float(x) == math.floor(x):
-        raise ValueError(f"x={x} is an integer; the series does not represent {{x}} there")
-    k = np.arange(1, K + 1, dtype=np.float64)
-    terms = np.sin(_TWO_PI * k * x) / k
-    return 0.5 - math.fsum(terms.tolist()) / math.pi
+        return abs(float(self.value) - DOUBLE_SUM_LIMIT)
 
 
 def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
@@ -145,17 +130,6 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
     """-pi sum_{n<=N} mu(n)/n {nx}, the truncated sine series."""
     return sine_series_partials(table, [N], x)[0]
-
-
-def sine_series_residual(table: MoebiusTable, N: int, x: float) -> float:
-    """eps_N(x): truncated sine series minus its limit sin(2 pi x)."""
-    return sine_series_partial(table, N, x) - math.sin(_TWO_PI * x)
-
-
-def squared_residual(table: MoebiusTable, N: int, x: float) -> float:
-    """eps~_N(x) = 2 sin(2 pi x) eps_N(x) + eps_N(x)^2."""
-    eps = sine_series_residual(table, N, x)
-    return 2.0 * math.sin(_TWO_PI * x) * eps + eps * eps
 
 
 def _squarefree_upto(table: MoebiusTable, N: int) -> np.ndarray:
@@ -191,9 +165,7 @@ def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
     return divs
 
 
-def _fast_sweep(
-    table: MoebiusTable, n_max: int, exact: bool, x_range: int
-) -> List[SeriesPoint]:
+def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[SeriesPoint]:
     if exact:
         scale = 1
         term = Fraction
@@ -225,7 +197,7 @@ def _fast_sweep(
             for d in divs:
                 A[d] += delta
             value = (3 * P * P + G - four_scale * D) / row_den
-        points.append(SeriesPoint(N=n, X=x_range, value=value))
+        points.append(SeriesPoint(N=n, value=value))
     return points
 
 
@@ -234,7 +206,6 @@ def correlation_double_sum_sweep(
     n_max: int,
     fast: bool = True,
     exact: bool = False,
-    x_range: int = 100,
 ) -> List[SeriesPoint]:
     """S(N) for every N = 1..n_max, computed incrementally.
 
@@ -253,7 +224,7 @@ def correlation_double_sum_sweep(
     """
     table._check_index(n_max)
     if fast:
-        return _fast_sweep(table, n_max, exact, x_range)
+        return _fast_sweep(table, n_max, exact)
     if exact and n_max > DIRECT_EXACT_LIMIT:
         raise ValueError(
             f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"
@@ -267,7 +238,7 @@ def correlation_double_sum_sweep(
             if sf_flags[n]:
                 total += _direct_exact_row(table, n, seen)
                 seen.append(n)
-            points.append(SeriesPoint(N=n, X=x_range, value=total))
+            points.append(SeriesPoint(N=n, value=total))
         return points
     sf = _squarefree_upto(table, n_max)
     contribs: List[float] = []
@@ -275,27 +246,23 @@ def correlation_double_sum_sweep(
         if sf_flags[n]:
             row = _direct_row_float(table, n, sf[: len(contribs)])
             contribs.append(2.0 * int(table.mu[n]) / n * row)
-        points.append(SeriesPoint(N=n, X=x_range, value=math.fsum(contribs)))
+        points.append(SeriesPoint(N=n, value=math.fsum(contribs)))
     return points
 
 
 def correlation_double_sum(
-    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
+    table: MoebiusTable, N: int, exact: bool = False
 ) -> SeriesPoint:
     """S(N) by the direct pair loop: the last row of the direct sweep."""
-    return correlation_double_sum_sweep(
-        table, N, fast=False, exact=exact, x_range=x_range
-    )[-1]
+    return correlation_double_sum_sweep(table, N, fast=False, exact=exact)[-1]
 
 
 def correlation_double_sum_fast(
-    table: MoebiusTable, N: int, exact: bool = False, x_range: int = 100
+    table: MoebiusTable, N: int, exact: bool = False
 ) -> SeriesPoint:
     """S(N) through the gcd-grouped rearrangement: the last row of the
     fast sweep."""
-    return correlation_double_sum_sweep(
-        table, N, fast=True, exact=exact, x_range=x_range
-    )[-1]
+    return correlation_double_sum_sweep(table, N, fast=True, exact=exact)[-1]
 
 
 def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
@@ -311,8 +278,7 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
         raise ValueError(
             f"squared identity check capped at N={SQUARED_IDENTITY_LIMIT}, got {N}"
         )
-    n = np.arange(1, N + 1, dtype=np.float64)
-    a = table.mu[1 : N + 1].astype(np.float64) / n * ((n * x) % 1.0)
+    a = _sine_terms(table, x, 1, N + 1)
     s1 = math.fsum(a.tolist())
     sin2 = math.sin(_TWO_PI * x)
     eps = -math.pi * s1 - sin2
@@ -325,67 +291,17 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
     return abs(lhs - (diagonal + off_diagonal))
 
 
-def trig_moments(X: int) -> tuple[float, float, float]:
-    """(E_X(sin^2 2 pi x), E_X(2 pi sin 2 pi x), E_X(2 pi x sin 2 pi x)).
-
-    Closed forms:
-
-        1/2 - sin(4 pi X) / (8 pi X)
-        (1 - cos(2 pi X)) / X
-        sin(2 pi X) / (2 pi X) - cos(2 pi X)
-
-    X is restricted to the positive integers, where the trig factors sit
-    at whole periods; evaluating them on the reduced phase of X makes
-    the results exactly (1/2, 0, -1) instead of within an ulp of them.
-    """
-    if isinstance(X, bool) or not isinstance(X, (int, np.integer)):
-        raise ValueError(f"X must be a positive integer, got {X!r}")
-    if X < 1:
-        raise ValueError(f"X must be >= 1, got {X}")
-    phase = _TWO_PI * (X % 1)  # identically 0 for integer X
-    sin_2piX = math.sin(phase)
-    cos_2piX = math.cos(phase)
-    sin_4piX = math.sin(2.0 * phase)
-    return (
-        0.5 - sin_4piX / (8.0 * math.pi * X),
-        (1.0 - cos_2piX) / X,
-        sin_2piX / (_TWO_PI * X) - cos_2piX,
-    )
-
-
-def mobius_double_fourier(table: MoebiusTable, N: int, K: int, x: float) -> float:
-    """sum_{n<=N} mu(n)/n sum_{k<=K} sin(2 pi n k x)/k.
-
-    The fully expanded double series rearranges to sin(2 pi x) through
-    the divisor-sum vanishing of mu; the rearrangement is only verified
-    numerically, so this evaluator exists to watch the residual shrink
-    as N and K grow.
-    """
-    table._check_index(N)
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    k = np.arange(1, K + 1, dtype=np.float64)
-    rows = []
-    for n in _squarefree_upto(table, N):
-        n = int(n)
-        inner = float(np.sum(np.sin(_TWO_PI * k * (n * x)) / k))
-        rows.append(int(table.mu[n]) / n * inner)
-    return math.fsum(rows)
-
-
 @dataclass
 class ResidualMomentReport:
-    """Bookkeeping check: 1/2 + E_X(eps~_N) vs pi^2/3 sum mu^2/n^2 + pi^2 S(N).
+    """Bookkeeping check: 1/2 + E(eps~_N) vs pi^2/3 sum mu^2/n^2 + pi^2 S(N).
 
-    The equality is exact for integer X; the gap reported here is the
-    Simpson sampling error of E_X(eps~_N), whose integrand has O(N)
-    jump points per unit.  Report only, nothing asserts on the gap
-    beyond a loose sanity bound.
+    E is the average over the period [0, 1].  The equality is exact; the
+    gap reported here is the Simpson sampling error of E(eps~_N), whose
+    integrand has O(N) jump points.  Report only, nothing asserts on the
+    gap beyond a loose sanity bound.
     """
 
     N: int
-    X: int
-    panels_per_unit: int
     lhs: float
     rhs: float
 
@@ -394,17 +310,12 @@ class ResidualMomentReport:
         return abs(self.lhs - self.rhs)
 
 
-def residual_moment_report(
-    table: MoebiusTable, N: int, X: int = 1, panels_per_unit: int = 10**4
-) -> ResidualMomentReport:
-    """Estimate E_X(eps~_N) by composite Simpson and compare the books."""
+def residual_moment_report(table: MoebiusTable, N: int) -> ResidualMomentReport:
+    """Estimate E(eps~_N) by composite Simpson on MOMENT_PANELS panels of
+    [0, 1] and compare the books."""
     table._check_index(N)
-    if X < 1:
-        raise ValueError(f"X must be >= 1, got {X}")
-    panels = panels_per_unit * X
-    if panels % 2:
-        panels += 1
-    xs = np.linspace(0.0, float(X), panels + 1)
+    panels = MOMENT_PANELS
+    xs = np.linspace(0.0, 1.0, panels + 1)
     acc = np.zeros_like(xs)
     for n in _squarefree_upto(table, N):
         n = int(n)
@@ -414,13 +325,11 @@ def residual_moment_report(
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = float(X) / panels
-    expectation = float(np.dot(weights, tilde)) * h / 3.0 / X
+    h = 1.0 / panels
+    expectation = float(np.dot(weights, tilde)) * h / 3.0
     lhs = 0.5 + expectation
     rhs = (
         math.pi**2 / 3.0 * float(squarefree_zeta2_partial(table, N))
         + math.pi**2 * float(correlation_double_sum(table, N, exact=False).value)
     )
-    return ResidualMomentReport(
-        N=N, X=X, panels_per_unit=panels_per_unit, lhs=lhs, rhs=rhs
-    )
+    return ResidualMomentReport(N=N, lhs=lhs, rhs=rhs)

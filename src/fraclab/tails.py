@@ -199,39 +199,6 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     return abs(lhs - rhs)
 
 
-def floor_sum_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
-    """Finite partial-summation identity for the jump sum itself.
-
-    Applying the same summation-by-parts machinery to floor(ux)/u
-    instead of {ux}/u isolates the jump sum against a Mertens boundary
-    plus a log-free step integral:
-
-        x * sum_{N<k/x<=U} M((k/x)^-)/k
-            = M(U) floor(Ux)/U - M(N) floor(Nx)/N
-              + integral_N^U M(u) floor(ux)/u^2 du
-              - sum_{N<n<=U} mu(n) floor(nx)/n.
-
-    Returns the absolute gap between the two sides.
-    """
-    _check_range(table, N, U)
-    xf = _coerce_x(x)
-    p, q = xf.numerator, xf.denominator
-    lhs = _jump_sum(table, N, U, p, q)
-    boundary = (
-        int(table.mertens[U]) * (U * p // q) / U
-        - int(table.mertens[N]) * (N * p // q) / N
-    )
-    floor_terms = [
-        m * a * p * (1.0 / t0 - 1.0 / t1)
-        for t0, t1, m, a in _step_pieces(table, N, U, p, q)
-    ]
-    mu_sum = math.fsum(
-        int(table.mu[n]) * (n * p // q) / n for n in range(N + 1, U + 1)
-    )
-    rhs = boundary + math.fsum(floor_terms) - mu_sum
-    return abs(lhs - rhs)
-
-
 def classical_bound_report(
     table: MoebiusTable, cutoffs: Sequence[int], c: float = 1.0
 ) -> TailReport:

@@ -1,9 +1,11 @@
 """Sieve correctness: definitions, divisor identities, partial sums."""
 
+import ast
 import dataclasses
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +284,20 @@ def test_table_shape(tmp_path):
     assert sorted(vars(t)) == sorted(names)
     for name in names:
         assert np.array_equal(getattr(t, name), before[name]), name
+
+
+def test_public_names_resolve():
+    # a stale export fails here rather than later in ``from fraclab import *``
+    assert len(set(fraclab.__all__)) == len(fraclab.__all__)
+    for name in fraclab.__all__:
+        assert hasattr(fraclab, name), name
+    exec("from fraclab import *", {})
+    tree = ast.parse(Path(fraclab.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public <= set(fraclab.__all__), public - set(fraclab.__all__)

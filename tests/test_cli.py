@@ -99,7 +99,7 @@ def test_series_rows_correctly_rounded(capsys, table6):
     assert values == [format_decimal(float(p.value)) for p in exact]
 
 
-@pytest.mark.parametrize("cutoffs", ["0,10", ""])
+@pytest.mark.parametrize("cutoffs", ["0,10", "", "1000,abc", "1.5"])
 def test_tails_bad_cutoffs_rejected(capsys, cutoffs):
     rc, out, err = run_cli(["tails", "--cutoffs", cutoffs, "--limit", "1000"], capsys)
     assert rc == 2

@@ -1,9 +1,10 @@
-"""Exact correlation engine: examples, the closed-form law, moments.
+"""Exact correlation engine: examples, the law, the quadrature oracle.
 
 The engine is pinned against the law and against a merged-breakpoint
 oracle that lives only here.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab
-from fraclab import exact
+from fraclab import acceptance, exact
 from fraclab.acceptance import correlation_quadrature
 
 
@@ -66,6 +67,30 @@ def test_law_on_random_pairs_with_quadrature_oracle():
         law = fraclab.correlation_closed_form(n, m)
         assert fraclab.exact_correlation(n, m) == law
         assert abs(correlation_quadrature(n, m) - float(law)) < 1e-9
+
+
+def quadrature_one_array(n, m):
+    """The quadrature oracle as one (pieces x panels) array, before row
+    blocks; returns the estimate and its panel count."""
+    bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
+    w = np.diff(bp)
+    s3 = float(np.sum(w**3))
+    panels = max(64, int(math.sqrt(n * m * s3 / (12.0 * 2e-10))) + 1)
+    offsets = (np.arange(panels) + 0.5) / panels
+    xs = bp[:-1][:, None] + w[:, None] * offsets[None, :]
+    f = (n * xs - np.floor(n * xs)) * (m * xs - np.floor(m * xs))
+    return float(np.sum(f.mean(axis=1) * w)), panels
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+def test_quadrature_blocks_equal_one_array(monkeypatch, rows):
+    # the pair has 300 breakpoint rows of 14,427 panels, cut into blocks of
+    # `rows` rows (7 leaves a short last block); None keeps the default
+    # block size, 72 rows
+    expected, panels = quadrature_one_array(148, 153)
+    if rows is not None:
+        monkeypatch.setattr(acceptance, "QUADRATURE_BLOCK", rows * panels + panels // 2)
+    assert correlation_quadrature(148, 153).hex() == expected.hex()
 
 
 @given(n=st.integers(1, 60), m=st.integers(1, 60))
@@ -187,38 +212,6 @@ def test_engine_does_not_consult_the_law(monkeypatch):
     monkeypatch.setattr(exact, "correlation_closed_form", refuse)
     assert fraclab.exact_correlation(5, 6) == Fraction(91, 360)
     assert fraclab.expected_correlation(12, 6, 100).value == Fraction(7, 24)
-
-
-def test_floor_second_moment_examples():
-    assert fraclab.floor_second_moment(1, 1) == 0
-    assert fraclab.floor_second_moment(2, 1) == Fraction(1, 2)
-    assert fraclab.floor_second_moment(3, 2) == Fraction(55, 6)
-
-
-def test_floor_second_moment_against_literal_sum():
-    for n, X in [(1, 1), (2, 1), (3, 2), (7, 3), (4, 25)]:
-        nX = n * X
-        brute = Fraction(sum(k * k for k in range(nX)), nX)
-        assert fraclab.floor_second_moment(n, X) == brute
-
-
-def test_cross_moment_examples():
-    assert fraclab.cross_moment(1, 1) == 0
-    assert fraclab.cross_moment(2, 1) == Fraction(3, 4)
-    assert fraclab.cross_moment(1, 2) == Fraction(3, 4)
-
-
-def test_cross_moment_against_literal_sum():
-    for n, X in [(1, 1), (2, 1), (1, 2), (5, 4), (3, 11)]:
-        nX = n * X
-        brute = Fraction(sum(k * (2 * k + 1) for k in range(nX)), 2 * nX)
-        assert fraclab.cross_moment(n, X) == brute
-
-
-@given(n=st.integers(1, 50), X=st.integers(1, 20))
-@settings(max_examples=40, deadline=None)
-def test_moment_chain_collapses_to_one_third(n, X):
-    assert fraclab.mean_square_fractional(n, X) == THIRD
 
 
 def test_correlation_value_rejects_out_of_range():

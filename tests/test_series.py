@@ -1,7 +1,6 @@
 """Series partial sums: sine series, double sum routes, identities."""
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +10,6 @@ import sympy
 import fraclab
 from fraclab import arithmetic, cli, series
 from fraclab.series import DIRECT_EXACT_LIMIT, DOUBLE_SUM_LIMIT
-
-
-def test_sawtooth_fourier_at_half():
-    for K in (1, 7, 100):
-        assert abs(fraclab.sawtooth_fourier_partial(K, 0.5) - 0.5) < 1e-12
-
-
-def test_sawtooth_fourier_converges():
-    assert abs(fraclab.sawtooth_fourier_partial(10**4, 0.25) - 0.25) < 1e-3
-    assert abs(fraclab.sawtooth_fourier_partial(10**4, 0.75) - 0.75) < 1e-3
-
-
-def test_sawtooth_fourier_rejects_integers():
-    with pytest.raises(ValueError):
-        fraclab.sawtooth_fourier_partial(10, 3.0)
 
 
 def test_sine_series_at_zero(table4):
@@ -101,38 +85,6 @@ def test_sine_series_cli_bytes_match_oracle(monkeypatch, capsys, table6):
     monkeypatch.setattr(series, "sine_series_partials", oracle_sine_partials)
     assert cli.main(args) == 0
     assert got == capsys.readouterr().out
-
-
-def test_residual_is_definitional(table4):
-    rng = random.Random(17)
-    for _ in range(100):
-        N = rng.randint(1, 5000)
-        x = rng.uniform(-2, 3)
-        lhs = fraclab.sine_series_residual(table4, N, x) + math.sin(2 * math.pi * x)
-        rhs = fraclab.sine_series_partial(table4, N, x)
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-
-
-def test_squared_residual_identity(table4):
-    rng = random.Random(18)
-    for _ in range(50):
-        N = rng.randint(1, 3000)
-        x = rng.uniform(0, 1)
-        eps = fraclab.sine_series_residual(table4, N, x)
-        s = math.sin(2 * math.pi * x)
-        expansion = (s + eps) ** 2 - s * s
-        assert fraclab.squared_residual(table4, N, x) == pytest.approx(
-            expansion, abs=1e-12
-        )
-
-
-def test_squared_residual_value(table4):
-    # N=1, x=1/4: eps = -pi/4 - 1, so eps~ = 2*eps + eps^2
-    eps = -math.pi / 4 - 1.0
-    assert fraclab.squared_residual(table4, 1, 0.25) == pytest.approx(
-        2 * eps + eps * eps, abs=1e-14
-    )
-    assert fraclab.squared_residual(table4, 7, 0.0) == 0.0
 
 
 def test_double_sum_empty_and_first_pair(table4):
@@ -213,8 +165,8 @@ def test_single_n_calls_are_sweep_rows(table4, fast, exact):
     single = fraclab.correlation_double_sum_fast if fast else fraclab.correlation_double_sum
     sweep = fraclab.correlation_double_sum_sweep(table4, n_max, fast=fast, exact=exact)
     for N in (1, 2, 97, n_max):
-        point = single(table4, N, exact=exact, x_range=7)
-        assert (point.N, point.X) == (N, 7)
+        point = single(table4, N, exact=exact)
+        assert point.N == N
         assert type(point.value) is type(sweep[N - 1].value)
         assert point.value == sweep[N - 1].value
 
@@ -240,7 +192,7 @@ def test_error_envelope_shrinks(table6):
 
 
 def test_series_point_error_not_stale():
-    pt = fraclab.SeriesPoint(N=5, X=100, value=0.0)
+    pt = fraclab.SeriesPoint(N=5, value=0.0)
     before = pt.abs_error
     pt.value = DOUBLE_SUM_LIMIT
     assert before == abs(DOUBLE_SUM_LIMIT)
@@ -255,42 +207,8 @@ def test_squared_identity_gap(table6):
         fraclab.sine_squared_identity_gap(table6, 501, 0.3)
 
 
-def test_trig_moments_exact_at_integers():
-    assert fraclab.trig_moments(1) == (0.5, 0.0, -1.0)
-    assert fraclab.trig_moments(100) == (0.5, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        fraclab.trig_moments(0)
-    with pytest.raises(ValueError):
-        fraclab.trig_moments(2.0)
-
-
-@pytest.mark.parametrize("X", [1, 2, 5])
-def test_trig_moments_against_quadrature(X):
-    panels = 200_000 * X
-    xs = np.linspace(0.0, X, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    h = X / panels
-
-    def simpson(f):
-        return float(np.dot(w, f)) * h / 3.0 / X
-
-    s = np.sin(2 * np.pi * xs)
-    got = fraclab.trig_moments(X)
-    assert got[0] == pytest.approx(simpson(s * s), abs=1e-8)
-    assert got[1] == pytest.approx(simpson(2 * np.pi * s), abs=1e-8)
-    assert got[2] == pytest.approx(simpson(2 * np.pi * xs * s), abs=1e-8)
-
-
-def test_double_fourier_rearrangement_residual_shrinks(table4):
-    target = math.sin(2 * math.pi * 0.3)
-    small = abs(fraclab.mobius_double_fourier(table4, 100, 100, 0.3) - target)
-    large = abs(fraclab.mobius_double_fourier(table4, 1000, 1000, 0.3) - target)
-    assert large < small
-
-
 def test_residual_moment_bookkeeping(table4):
     report = fraclab.residual_moment_report(table4, 100)
     # equality is exact; the gap is pure Simpson sampling error
     assert report.gap < 0.05
-    assert report.N == 100 and report.X == 1
+    assert report.N == 100

@@ -233,9 +233,33 @@ def test_abel_x_above_one_is_fine(table4):
     assert fraclab.abel_identity_check(table4, 5, 400, Fraction(7, 5)) < 1e-9
 
 
+def floor_sum_expansion(table, N, U, p, q):
+    """The jump sum x * sum_{N<k/x<=U} M((k/x)^-)/k at x = p/q, expanded
+    by the same summation by parts applied to floor(ux)/u instead of
+    {ux}/u:
+
+        M(U) floor(Ux)/U - M(N) floor(Nx)/N
+          + integral_N^U M(u) floor(ux)/u^2 du - sum_{N<n<=U} mu(n) floor(nx)/n
+    """
+    boundary = (
+        int(table.mertens[U]) * (U * p // q) / U
+        - int(table.mertens[N]) * (N * p // q) / N
+    )
+    floor_integral = math.fsum(
+        m * a * p * (1.0 / t0 - 1.0 / t1)
+        for t0, t1, m, a in tails._step_pieces(table, N, U, p, q)
+    )
+    mu_sum = math.fsum(
+        int(table.mu[n]) * (n * p // q) / n for n in range(N + 1, U + 1)
+    )
+    return boundary + floor_integral - mu_sum
+
+
 def test_floor_sum_identity(table4):
-    assert fraclab.floor_sum_identity_check(table4, 10, 50, Fraction(1, 2)) < 1e-9
-    assert fraclab.floor_sum_identity_check(table4, 3, 97, Fraction(5, 7)) < 1e-9
+    # the jump sum of the Abel identity, checked on its own
+    for N, U, p, q in [(10, 50, 1, 2), (3, 97, 5, 7)]:
+        jumps = tails._jump_sum(table4, N, U, p, q)
+        assert abs(jumps - floor_sum_expansion(table4, N, U, p, q)) < 1e-9
 
 
 def test_classical_bound_report(table6):
