@@ -44,38 +44,25 @@ class CriterionResult:
     seconds: float
 
 
-#: error bound the quadrature oracle sizes its panels for
-QUADRATURE_ERROR = 2e-10
-
-#: points per block of breakpoint rows in the quadrature oracle; bounds
-#: its float arrays at about 8 MiB each
-QUADRATURE_BLOCK = 1 << 20
-
-
 def correlation_quadrature(n: int, m: int) -> float:
-    """Composite-midpoint estimate of integral_0^1 {nx}{mx} dx.
+    """Simpson's-rule value of integral_0^1 {nx}{mx} dx, exact up to
+    float rounding.
 
-    Independent of the exact engine: float breakpoints, float floors,
-    plain averaging.  The integrand is quadratic between breakpoints
-    with second derivative exactly 2nm, so the panel count needed for
-    the error bound QUADRATURE_ERROR follows from the midpoint error
-    formula.  The rows of breakpoint intervals are evaluated in blocks of
-    about QUADRATURE_BLOCK points; each row's mean is the same reduction
-    whatever the block, so the blocks do not change the result.
+    Independent of the exact engine and of the law: float breakpoints,
+    float floors.  On each breakpoint interval [l, r] the floors of nx
+    and mx are constant (taken at the midpoint), so the integrand
+    (nx - a)(mx - b) is a quadratic there, which Simpson's rule on
+    l, mid and r integrates exactly.
     """
     bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
-    w = np.diff(bp)
-    s3 = float(np.sum(w**3))
-    panels = max(64, int(math.sqrt(n * m * s3 / (12.0 * QUADRATURE_ERROR))) + 1)
-    offsets = (np.arange(panels) + 0.5) / panels
-    left = bp[:-1]
-    rows = max(1, QUADRATURE_BLOCK // panels)
-    means = np.empty(len(w))
-    for i in range(0, len(w), rows):
-        xs = left[i : i + rows, None] + w[i : i + rows, None] * offsets[None, :]
-        f = (n * xs - np.floor(n * xs)) * (m * xs - np.floor(m * xs))
-        means[i : i + rows] = f.mean(axis=1)
-    return float(np.sum(means * w))
+    left, right = bp[:-1], bp[1:]
+    mid = (left + right) / 2
+    a, b = np.floor(n * mid), np.floor(m * mid)
+
+    def f(x):
+        return (n * x - a) * (m * x - b)
+
+    return float(np.sum((right - left) * (f(left) + 4 * f(mid) + f(right)))) / 6
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +91,7 @@ def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
             correlation_quadrature(n, m) - float(exact.correlation_closed_form(n, m))
         )
         worst = max(worst, gap)
-        if gap >= 1e-9:
+        if gap >= 1e-12:
             return False, f"quadrature gap {gap:.3e} at (n={n}, m={m})"
     grid = [(n, m) for n in range(1, 201) for m in range(1, 201)]
     for (n, m), value in zip(grid, exact.exact_correlations(grid)):
@@ -119,8 +106,14 @@ def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
 def _c3_double_sum_convergence(table: MoebiusTable) -> Tuple[bool, str]:
     sweep = series.correlation_double_sum_sweep(table, 2000)
     e100, e2000 = sweep[99].abs_error, sweep[1999].abs_error
-    ok = e100 < 0.05 and e2000 < 0.01
-    return ok, f"|S(100)+9/(2pi^2)| = {e100:.6f} (<0.05), |S(2000)+...| = {e2000:.6f} (<0.01)"
+    # the rate: N (S(N) + 9/(2 pi^2)) stays in [0.2, 0.3] for N = 100..2000
+    rates = [p.N * (float(p.value) - series.DOUBLE_SUM_LIMIT) for p in sweep[99:]]
+    low, high = min(rates), max(rates)
+    ok = e100 < 0.05 and e2000 < 0.01 and 0.2 <= low and high <= 0.3
+    return ok, (
+        f"|S(100)+9/(2pi^2)| = {e100:.6f} (<0.05), |S(2000)+...| = {e2000:.6f} (<0.01), "
+        f"N (S(N)+9/(2pi^2)) in [{low:.4f}, {high:.4f}] for N = 100..2000 (in [0.2, 0.3])"
+    )
 
 
 def _c4_fast_direct_equivalence(table: MoebiusTable) -> Tuple[bool, str]:

@@ -347,13 +347,21 @@ def save_cache(table: MoebiusTable, path) -> None:
             os.remove(tmp)
 
 
-def load_cache(path) -> MoebiusTable:
-    """Restore a read-only table from a cache file written by ``save_cache``.
+def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
+    """Restore a read-only table of mu(1..prefix) from a cache file
+    written by ``save_cache``; all of it when ``prefix`` is None or past
+    the cache's limit, so a table shorter than ``prefix`` says the cache
+    is.
 
-    Mertens and square-free flags are recomputed from mu (cheap prefix
-    work), so a loaded table has the same fields as a sieved one.
-    Raises ValueError on a bad magic, a bad header, or a truncated body.
+    Only the header and the prefix's bytes are read; the body's length
+    is checked against the file size.  Mertens and square-free flags are
+    recomputed from mu (cheap prefix work), so a loaded table has the
+    same fields as a sieved one.  Raises ValueError on a bad magic, a
+    bad header, a truncated body, or a read value outside {-1, 0, 1},
+    and on a ``prefix`` below 1.
     """
+    if prefix is not None and prefix < 1:
+        raise ValueError(f"cache prefix must be >= 1, got {prefix}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -364,9 +372,11 @@ def load_cache(path) -> MoebiusTable:
         (limit,) = struct.unpack("<Q", header)
         if not 1 <= limit <= MAX_LIMIT:
             raise ValueError(f"sieve cache limit {limit} out of range in {path}")
-        body = fh.read(limit)
-        if len(body) != limit:
+        if os.fstat(fh.fileno()).st_size < 12 + limit:
             raise ValueError(f"truncated sieve cache body in {path}")
+        if prefix is not None:
+            limit = min(limit, prefix)
+        body = fh.read(limit)
     mu = np.zeros(limit + 1, dtype=np.int8)
     mu[1:] = np.frombuffer(body, dtype=np.int8)
     if mu[1] != 1 or not np.all((mu >= -1) & (mu <= 1)):

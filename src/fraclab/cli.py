@@ -18,14 +18,16 @@ deterministic: a fixed configuration yields byte-identical bytes on
 every run.
 
 --limit is the ceiling of the sieve.  sieve, tails and verify read the
-table up to --limit; without a cache, sine-series, series and figure2
-sieve only to --n-max, the prefix they read.
+table up to --limit; sine-series, series and figure2 read only to
+--n-max, the prefix they use.
 
 The sieve cache path comes from --cache, falling back to the
-FRACLAB_CACHE environment variable.  With a cache every command reads a
-table to --limit: an unreadable or undersized cache is ignored with a
-warning and the sieve is rebuilt to --limit (and re-saved, atomically);
-a larger cache is cut to --limit, so output never depends on the cache.
+FRACLAB_CACHE environment variable.  With a cache a command reads just
+its prefix from it.  An unreadable cache, or one that does not reach
+that prefix, is ignored with a warning and the sieve is rebuilt to
+--limit (and re-saved, atomically); a larger cache is cut as it is
+read, so output never depends on the cache.  Without a cache a command
+sieves just its prefix.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class RunConfig:
     cache_path: Optional[str] = None
     output_path: Optional[str] = None
     precision_digits: int = 15
-    jordan_fast_path: bool = True
 
 
 def _warn(message: str) -> None:
@@ -79,31 +80,27 @@ def _preflight(config: RunConfig, needed: int) -> None:
 def _get_table(config: RunConfig, needed: int, prefix_only: bool = False) -> MoebiusTable:
     """The table for a command that reads mu(1..needed).
 
-    ``--limit`` is a ceiling, checked by ``_preflight``.  With a cache
-    path the table always reaches ``--limit`` (read from the cache and
-    cut, or sieved and saved), so the cache never depends on which
-    command ran first.  Without one, a ``prefix_only`` command sieves
-    just to ``needed``.
+    ``--limit`` is a ceiling, checked by ``_preflight``.  A ``prefix_only``
+    command reads mu(1..needed), any other the table to ``--limit``: from
+    the cache, read only that far, when it reaches it; otherwise sieved,
+    to ``needed`` without a cache path, else to ``--limit`` and saved.
     """
     _preflight(config, needed)
     limit = config.sieve_limit
+    read = needed if prefix_only else limit
     path = config.cache_path
     if not path:
-        return build_tables(needed if prefix_only else limit)
+        return build_tables(read)
     if os.path.exists(path):
         try:
-            cached = load_cache(path)
+            # prefix by keyword: perfbench's tracer reads a second
+            # positional argument as the cache path
+            cached = load_cache(path, prefix=read)
         except ValueError as exc:
             _warn(f"ignoring sieve cache: {exc}")
         else:
-            if cached.limit >= limit:
-                end = limit + 1
-                return MoebiusTable(
-                    limit=limit,
-                    mu=cached.mu[:end],
-                    mertens=cached.mertens[:end],
-                    squarefree=cached.squarefree[:end],
-                )
+            if cached.limit == read:
+                return cached
             _warn(
                 f"sieve cache at {path} only reaches {cached.limit}; rebuilding to {limit}"
             )
@@ -202,9 +199,8 @@ def cmd_sine_series(config: RunConfig, x: float, n_max: int, points: int) -> int
 def cmd_series(config: RunConfig, n_max: int, exact_mode: bool, naive: bool) -> int:
     _require_positive("--n-max", n_max)
     table = _get_table(config, n_max, prefix_only=True)
-    fast = config.jordan_fast_path and not naive
     points = series.correlation_double_sum_sweep(
-        table, n_max, fast=fast, exact=exact_mode
+        table, n_max, fast=not naive, exact=exact_mode
     )
     _emit(config, figures.points_csv(points, config.precision_digits))
     return 0
@@ -216,14 +212,12 @@ def cmd_figure1(config: RunConfig) -> int:
     return 0
 
 
-def cmd_figure2(config: RunConfig, n_max: int) -> int:
+def cmd_figure2(config: RunConfig, n_max: int, naive: bool) -> int:
     _require_positive("--n-max", n_max)
     table = _get_table(config, n_max, prefix_only=True)
     _emit(
         config,
-        figures.figure2_csv(
-            table, n_max, fast=config.jordan_fast_path, digits=config.precision_digits
-        ),
+        figures.figure2_csv(table, n_max, fast=not naive, digits=config.precision_digits),
     )
     return 0
 
@@ -286,8 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default stdout)")
     common.add_argument("--digits", type=int, default=15,
                         help="significant digits for decimal columns")
-    common.add_argument("--no-fast-path", action="store_true",
-                        help="disable the gcd-grouped fast series route")
+
+    def add_naive(p):  # the double-sum route switch of series and figure2
+        p.add_argument("--naive", "--no-fast-path", dest="naive", action="store_true",
+                       help="the direct O(N^2) route, not the gcd-grouped fast one")
 
     parser = argparse.ArgumentParser(
         prog="fraclab",
@@ -316,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--exact", action="store_true",
                    help="exact rational mode (n-max capped at 300 when direct)")
-    p.add_argument("--naive", action="store_true",
-                   help="force the direct O(N^2) route")
+    add_naive(p)
 
     sub.add_parser("figure1", parents=[common],
                    help="correlation profile n=1..12 against m=6 at X=100")
@@ -325,6 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure2", parents=[common],
                        help="double-series partial sums against the limit")
     p.add_argument("--n-max", type=int, default=100)
+    add_naive(p)
 
     p = sub.add_parser("tails", parents=[common], help="Mertens tail report")
     p.add_argument("--cutoffs", default="1000,10000,100000,1000000",
@@ -369,7 +365,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         cache_path=cache,
         output_path=args.out,
         precision_digits=args.digits,
-        jordan_fast_path=not args.no_fast_path,
     )
 
 
@@ -390,7 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "figure1":
             return cmd_figure1(config)
         if args.command == "figure2":
-            return cmd_figure2(config, args.n_max)
+            return cmd_figure2(config, args.n_max, args.naive)
         if args.command == "tails":
             return cmd_tails(config, _cutoffs(args.cutoffs), args.c)
         if args.command == "verify":

@@ -11,70 +11,62 @@ C(n, m) for every integer X; ``expected_correlation`` computes the
 it.
 
 Substitute x = t / L with L = lcm(n, m), p = L/n, q = L/m.  Then
-{nx} = (t mod p)/p and {mx} = (t mod q)/q, with p and q coprime, so
+{nx} = (t mod p)/p and {mx} = (t mod q)/q, so
 
-    E_X = total / (6 L p q X),  total = 6 integral_0^{XL} (t mod P)(t mod Q) dt
+    E_X = total / (6 L p q X),  total = 6 integral_0^{XL} (t mod p)(t mod q) dt.
 
-where P = max(p, q) and Q = min(p, q).  The engine behind every exact
-correlation, ``_sweep_totals``, computes that integer total for a whole
-batch of (T, P, Q) at once, with no rational arithmetic and no rounding.
+The engine behind every exact correlation, ``_sweep_total``, computes
+that integer for integers P, Q >= 1 and any T that is a common multiple
+of both, in Python ints, with no rational arithmetic and no rounding.
 
-It walks the intervals [kP, (k+1)P) of the sparser lattice, so the two
-breakpoint lattices are never merged or sorted.  On interval k put
-s = kP mod Q and J = floor((s + P)/Q); t mod Q wraps J times inside it,
-at u = iQ - s for i = 1..J, and
+Unit steps.  P and Q are integers, so neither t mod P nor t mod Q wraps
+inside a step [j, j+1).  With x = j mod P and y = j mod Q the step gives
+6 integral_0^1 (x + u)(y + u) du = 6xy + 3x + 3y + 2, hence
 
-    6 integral_0^P u ((s + u) mod Q) du
-        = P^2 (3s + 2P - 3QJ) + 3Q sum_{i=1}^J (iQ - s)^2.
+    total = sum_{j<T} [6 (j mod P)(j mod Q) + 3 (j mod P) + 3 (j mod Q) + 2].
 
-The value depends on k only through s, so the engine counts the s of
-every interval with ``np.bincount`` and evaluates the closed form once
-per distinct residue.  Every interval is still visited.  The engine
-uses neither the law nor the period (that the [0, X] integral is X
-times one period); the gcd only fixes L, p and q.
+Write j mod P = j - P floor(j/P), and likewise for Q.  As P and Q divide
+T, every resulting sum has a closed form except
+sum_{j<T} floor(j/P) floor(j/Q).  Put j = aP + r, K = T/P and
+F(x) = sum_{j<x} floor(j/Q) = c x - Q c(c+1)/2 with c = floor(x/Q); then
+that sum is (K - 1) F(T) - sum_{a<K} F(aP), and
 
-Integer bounds.  Every accepted pair has n + m <= PAIR_SIZE_LIMIT, hence
-P + Q <= 10^6 and QJ <= s + P < P + Q.  Each of the two terms above then
-stays below about (P + Q)^3 <= 10^18, and so do the partial products the
-code forms, about a ninth of 2^63.  The interval value itself is below
-3 P^2 Q < 2^59.  Work is cut into passes of at most ENGINE_CHUNK = 2^14
-intervals, so memory stays flat in the batch size.  Within a pass each
-value is split into 32-bit halves before it is multiplied by its count,
-so a segment's sums stay below 2^32 * 2^14 and cannot wrap; Python ints
-join the halves and add up the passes.
+    sum_{a<K} F(aP) = P g - Q (f + h)/2,
 
-Intervals are closed-open, so the one-sided values at shared breakpoints
-(where k/n = j/m) never contribute; they are measure zero.
+where f, g, h = sum_{a<K} of floor(aP/Q), a floor(aP/Q) and
+floor(aP/Q)^2.  Collecting the closed forms (F(T) = Q M(M-1)/2 with
+M = T/Q) leaves
 
-The closed-form law C(n, m) = 1/4 + gcd(n, m)^2 / (12*n*m) is exposed
-separately (``correlation_closed_form``); nothing in the engine uses it,
-which is what makes the exact equality of the two a meaningful test
+    total = T (2T^2 - 3T(P + Q) + P^2 + 6PQ + Q^2) / 2 + 3PQ (Q (f + h) - 2P g).
+
+Floor sums.  ``_floor_sums`` gets f, g and h by the degree-2 "universal
+Euclidean" recursion, which extends the floor_sum of AtCoder Library
+(atcoder/math.hpp) to g and h: reduce the slope and the offset mod the
+divisor, then swap the two axes of the lattice-point count.  That is
+Euclid's algorithm on P/Q, about log(P) levels, run as a loop over a
+stack.
+
+Independence.  The engine never uses the law, the period (that the
+[0, X] integral is X times one period), or the Chinese remainder
+theorem, which would give sum (j mod P)(j mod Q) over a period in one
+step and with it the law; the gcd only fixes L, p and q.  The
+closed-form law C(n, m) = 1/4 + gcd(n, m)^2 / (12*n*m) is exposed
+separately (``correlation_closed_form``).  Nothing in the engine uses
+it, which is what makes the exact equality of the two a meaningful test
 rather than a tautology.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-import numpy as np
-
-#: guard on n + m, which bounds the single-period breakpoint count
+#: input policy: the largest n + m a request may have.  The engine works
+#: in Python ints in O(log(n + m)) steps, so this bounds no int64 work.
 PAIR_SIZE_LIMIT = 10**6
-
-#: piece-count cap for the direct [0, X] cross-check sweep
-_DIRECT_CHECK_LIMIT = 2_000_000
-
-#: lattice intervals per engine pass; bounds the engine's working arrays.
-#: At 2^14 an int64 array is 128 KiB and stays on the allocator's heap.
-#: Larger arrays are mapped afresh on every pass: the per-interval steps
-#: took 18 ns per interval at 2^16 against 7.5 ns at 2^14 (2-core Linux
-#: host, numpy 2.4)
-ENGINE_CHUNK = 1 << 14
-
-_LOW32 = (1 << 32) - 1
 
 METHOD_PIECEWISE = "piecewise"
 METHOD_CLOSED_FORM = "closed_form"
@@ -111,112 +103,76 @@ def _check_pair(n: int, m: int) -> None:
         )
 
 
-def _interval_values(s: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """6 * integral_0^P u * ((s + u) mod Q) du per residue s, as int64."""
-    J = (s + P) // Q
-    S1 = J * (J + 1) // 2
-    S2 = S1 * (2 * J + 1) // 3
-    squares = Q * Q * S2 - 2 * Q * s * S1 + J * s * s  # sum_{i<=J} (iQ - s)^2
-    return P * P * (3 * s + 2 * P - 3 * Q * J) + 3 * Q * squares
+def _floor_sums(n: int, a: int, b: int, c: int) -> Tuple[int, int, int]:
+    """(f, g, h) = sums over 0 <= i < n of y, i*y and y^2, where
+    y = floor((a*i + b) / c); needs n, a, b >= 0 and c >= 1.
 
-
-def _pass_totals(segments: List[Tuple[int, int, int, int, int]]) -> List[int]:
-    """Exact interval sums of one engine pass, one per segment.
-
-    A segment (pair, k0, k1, P, Q) stands for the intervals k0 <= k < k1
-    of one pair.  Each interval's residue kP mod Q goes into a bin of its
-    segment; the closed form is then evaluated once per occupied bin.
+    Each level first splits off y = (a//c) i + b//c + y' and keeps a, b
+    mod c.  Then y' counts the j < y'_max with (j+1) c <= a i + b, and
+    summing over j instead of i is the same problem for
+    (c, c - b - 1, a) over y'_max terms.  The frames are stacked on the
+    way down and combined on the way up.
     """
-    _, K0, K1, P, Q = np.array(segments, dtype=np.int64).T
-    length = K1 - K0
-    bin0 = np.cumsum(Q) - Q
+    frames = []
+    while n:
+        qa, qb = a // c, b // c
+        a, b = a % c, b % c
+        m = (a * (n - 1) + b) // c  # the largest reduced y'
+        frames.append((n, qa, qb, m))
+        if m == 0:
+            break
+        a, b, c, n = c, c - b - 1, a, m
+    f = g = h = 0
+    for n, qa, qb, m in reversed(frames):
+        if m:  # undo the swap: (f, g, h) of the swapped sums -> of y'
+            f, g, h = (
+                m * (n - 1) - f,
+                (m * n * (n - 1) - h - f) // 2,
+                (n - 1) * m * m - 2 * g - f,
+            )
+        s1 = n * (n - 1) // 2  # sum of i
+        s2 = s1 * (2 * n - 1) // 3  # sum of i^2
+        h += qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
+        f += qa * s1 + qb * n
+        g += qa * s2 + qb * s1
+    return f, g, h
 
-    def spread(values):
-        # one value per segment -> one per interval; a lone segment's
-        # scalar broadcasts, which spares a copy on the long passes
-        return values[0] if len(segments) == 1 else np.repeat(values, length)
 
-    first = np.cumsum(length) - length  # each segment's offset in the pass
-    k = np.arange(int(length.sum()), dtype=np.int64) + spread(K0 - first)
-    counts = np.bincount(k * spread(P % Q) % spread(Q) + spread(bin0))
-    bins = counts.nonzero()[0]
-    seg = np.searchsorted(bin0, bins, side="right") - 1
-    c = counts[bins]
-    v = _interval_values(bins - bin0[seg], P[seg], Q[seg])
-    starts = np.searchsorted(seg, np.arange(len(segments)))
-    hi = np.add.reduceat((v >> 32) * c, starts).tolist()
-    lo = np.add.reduceat((v & _LOW32) * c, starts).tolist()
-    return [(h << 32) + l for h, l in zip(hi, lo)]
+def _sweep_total(T: int, P: int, Q: int) -> int:
+    """6 * integral_0^T (t mod P)(t mod Q) dt, exact.
 
-
-def _sweep_totals(T: Sequence[int], P: Sequence[int], Q: Sequence[int]) -> List[int]:
-    """6 * integral_0^T (t mod P)(t mod Q) dt for each (T, P, Q), exact.
-
-    Needs P >= Q >= 1, T a nonnegative multiple of P, and the pair
-    bounds of the module docstring.  Works on the intervals [kP, (k+1)P),
-    k < T/P, grouped by their residue kP mod Q; see the module docstring.
-    Each pass takes up to ENGINE_CHUNK intervals, cutting a pair's
-    k-range where a pass fills.
+    Needs P, Q >= 1 and T >= 0 a common multiple of P and Q.  The
+    polynomial collects the closed-form unit-step sums; the floor sums
+    carry -6PQ sum_{a<K} F(aP).  See the module docstring.
     """
-    totals = [0] * len(T)
-    segments: List[Tuple[int, int, int, int, int]] = []
-    room = ENGINE_CHUNK
-
-    def flush():
-        for (j, *_), total in zip(segments, _pass_totals(segments)):
-            totals[j] += total
-        segments.clear()
-
-    for j, (t, p, q) in enumerate(zip(T, P, Q)):
-        K = t // p
-        k0 = 0
-        while k0 < K:
-            k1 = min(K, k0 + room)
-            segments.append((j, k0, k1, p, q))
-            room -= k1 - k0
-            k0 = k1
-            if room == 0:
-                flush()
-                room = ENGINE_CHUNK
-    if segments:
-        flush()
-    return totals
+    f, g, h = _floor_sums(T // P, P, 0, Q)
+    return (
+        T * (2 * T * T - 3 * T * (P + Q) + P * P + 6 * P * Q + Q * Q) // 2
+        + 3 * P * Q * (Q * (f + h) - 2 * P * g)
+    )
 
 
-def _lattices(pairs: Iterable[Tuple[int, int]]) -> Tuple[List[int], List[int], List[int]]:
-    """(L, P, Q) per pair: lcm(n, m), then max and min of L/n and L/m."""
-    Ls, Ps, Qs = [], [], []
-    for n, m in pairs:
-        n, m = int(n), int(m)
-        _check_pair(n, m)
-        g = math.gcd(n, m)
-        p, q = m // g, n // g
-        Ls.append(n * p)
-        Ps.append(max(p, q))
-        Qs.append(min(p, q))
-    return Ls, Ps, Qs
+def _lattice(n: int, m: int) -> Tuple[int, int, int]:
+    """(L, p, q) of a checked pair: lcm(n, m), L/n and L/m."""
+    n, m = int(n), int(m)
+    _check_pair(n, m)
+    g = math.gcd(n, m)
+    p, q = m // g, n // g
+    return n * p, p, q
 
 
 def exact_correlations(pairs: Iterable[Tuple[int, int]]) -> List[Fraction]:
-    """integral_0^1 {nx}{mx} dx as an exact Fraction for every (n, m).
-
-    One batched engine call for all pairs; equal, pair for pair, to
-    ``exact_correlation``.
-    """
-    Ls, Ps, Qs = _lattices(pairs)
-    totals = _sweep_totals(Ls, Ps, Qs)
-    return [
-        Fraction(total, 6 * L * P * Q)
-        for total, L, P, Q in zip(totals, Ls, Ps, Qs)
-    ]
+    """integral_0^1 {nx}{mx} dx as an exact Fraction for every (n, m);
+    equal, pair for pair, to ``exact_correlation``."""
+    lattices = [_lattice(n, m) for n, m in pairs]
+    return [Fraction(_sweep_total(L, p, q), 6 * L * p * q) for L, p, q in lattices]
 
 
 def exact_correlation(n: int, m: int) -> Fraction:
     """integral_0^1 {nx}{mx} dx as an exact Fraction.
 
     Denominators reach the scale of lcm(n, m)^2 before reduction, hence
-    arbitrary-precision integers for the result; the engine's int64
-    work stays inside the bounds of the module docstring.
+    arbitrary-precision integers throughout.
     """
     return exact_correlations([(n, m)])[0]
 
@@ -225,30 +181,24 @@ def expected_correlation(n: int, m: int, X: int) -> CorrelationValue:
     """(1/X) integral_0^X {nx}{mx} dx, exact, for integer X >= 1.
 
     Integer x-periodicity of the integrand makes this equal to
-    exact_correlation(n, m); whenever the [0, X] sweep is affordable
-    (X * (n + m) at most _DIRECT_CHECK_LIMIT) the equality is computed
-    and verified, not assumed, in the same engine call.  Non-integer X
+    exact_correlation(n, m); the [0, X] integral is computed on its own
+    and the equality verified, not assumed, for every X.  Non-integer X
     is rejected.  A violated identity raises AssertionError.
     """
-    if isinstance(X, bool) or not isinstance(X, (int, np.integer)):
+    if isinstance(X, bool) or not isinstance(X, numbers.Integral):
         raise ValueError(f"X must be a positive integer, got {X!r}")
     if X < 1:
         raise ValueError(f"X must be >= 1, got {X}")
     X = int(X)
-    (L,), (P,), (Q,) = _lattices([(n, m)])
-    den = 6 * L * P * Q
-    if X * (n + m) <= _DIRECT_CHECK_LIMIT:
-        one, direct = _sweep_totals([L, X * L], [P, P], [Q, Q])
-        one_period = Fraction(one, den)
-        value = Fraction(direct, den * X)
-        if value != one_period:
-            raise AssertionError(
-                f"period-1 identity violated for (n={n}, m={m}, X={X}): "
-                f"{value} != {one_period}"
-            )
-    else:
-        (one,) = _sweep_totals([L], [P], [Q])
-        value = Fraction(one, den)
+    L, p, q = _lattice(n, m)
+    den = 6 * L * p * q
+    one_period = Fraction(_sweep_total(L, p, q), den)
+    value = Fraction(_sweep_total(X * L, p, q), den * X)
+    if value != one_period:
+        raise AssertionError(
+            f"period-1 identity violated for (n={n}, m={m}, X={X}): "
+            f"{value} != {one_period}"
+        )
     return CorrelationValue(n=n, m=m, X=X, value=value, method=METHOD_PIECEWISE)
 
 

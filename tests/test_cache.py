@@ -52,6 +52,57 @@ def test_out_of_range_values_rejected(tmp_path):
         fraclab.load_cache(path)
 
 
+def test_prefix_read(tmp_path):
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(5000), path)
+    small = fraclab.build_tables(300)
+    loaded = fraclab.load_cache(path, prefix=300)
+    assert loaded.limit == 300
+    for field in ("mu", "mertens", "squarefree"):
+        assert np.array_equal(getattr(loaded, field), getattr(small, field))
+    # a prefix past the cache gets the whole, shorter, table
+    assert fraclab.load_cache(path, prefix=9000).limit == 5000
+    with pytest.raises(ValueError, match="prefix"):
+        fraclab.load_cache(path, prefix=0)
+
+
+def test_prefix_read_checks_size_and_read_bytes(tmp_path):
+    path = tmp_path / "short.muv"
+    path.write_bytes(CACHE_MAGIC + struct.pack("<Q", 100) + b"\x01" * 10)
+    with pytest.raises(ValueError, match="truncated"):
+        fraclab.load_cache(path, prefix=5)  # the body's length, from the file size
+    path.write_bytes(CACHE_MAGIC + struct.pack("<Q", 4) + bytes([1, 255, 0, 7]))
+    assert fraclab.load_cache(path, prefix=3).mu.tolist() == [0, 1, -1, 0]
+    with pytest.raises(ValueError, match="outside"):
+        fraclab.load_cache(path)  # the whole body is read and checked
+
+
+@pytest.mark.parametrize(
+    "args, read",
+    [
+        (["series", "--n-max", "60"], 60),
+        (["figure2", "--n-max", "70"], 70),
+        (["sine-series", "--x", "0.25", "--n-max", "80"], 80),
+        (["tails", "--cutoffs", "100"], 1000),
+    ],
+)
+def test_cli_reads_only_the_prefix_it_needs(tmp_path, monkeypatch, capsys, args, read):
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(5000), path)
+    limits = []
+
+    def recording_load(*a, **kw):
+        table = arithmetic.load_cache(*a, **kw)
+        limits.append(table.limit)
+        return table
+
+    monkeypatch.setattr(cli, "load_cache", recording_load)
+    monkeypatch.setattr(cli, "build_tables", None)  # the cache serves it
+    assert cli.main(args + ["--limit", "1000", "--cache", str(path)]) == 0
+    capsys.readouterr()
+    assert limits == [read]
+
+
 def test_cli_uses_cache(tmp_path, capsys):
     path = tmp_path / "sieve.muv"
     assert cli.main(["sieve", "--limit", "2000", "--cache", str(path)]) == 0

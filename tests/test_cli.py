@@ -216,16 +216,17 @@ def test_invalid_limit_rejected(capsys):
 @pytest.mark.parametrize(
     "x_range, wrong, message",
     [
-        ("100", lambda total: total + 1, "period-1 identity violated"),
-        ("200000", lambda total: 0, "outside the provable"),  # no [0, X] check
+        ("100", lambda T, total: total + 1, "period-1 identity violated"),
+        # (5, 6) has its one period at T = 30: only the [0, X] total is off
+        ("200000", lambda T, total: total + (T > 30), "period-1 identity violated"),
+        # both totals zero: the identity holds and the range check fails
+        ("200000", lambda T, total: 0, "outside the provable"),
     ],
-    ids=["period-1", "range"],
+    ids=["period-1", "period-1-large-x", "range"],
 )
 def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, message):
-    real = exact._sweep_totals
-    monkeypatch.setattr(
-        exact, "_sweep_totals", lambda T, P, Q: [wrong(t) for t in real(T, P, Q)]
-    )
+    real = exact._sweep_total
+    monkeypatch.setattr(exact, "_sweep_total", lambda T, P, Q: wrong(T, real(T, P, Q)))
     rc, out, err = run_cli(
         ["correlate", "--n", "5", "--m", "6", "--x-range", x_range], capsys
     )
@@ -233,6 +234,21 @@ def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, mes
     assert out == ""
     assert err.startswith("fraclab: internal error: ")
     assert message in err
+
+
+def test_fast_path_switch_only_on_series_and_figure2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sieve", "--no-fast-path", "--limit", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-fast-path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["series", "figure2"])
+def test_naive_has_two_spellings(capsys, command):
+    args = [command, "--n-max", "30", "--limit", "100"]
+    naive = run_cli(args + ["--naive"], capsys)
+    assert naive[0] == 0
+    assert run_cli(args + ["--no-fast-path"], capsys) == naive
 
 
 def test_out_io_error(tmp_path, capsys):

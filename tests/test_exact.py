@@ -1,19 +1,18 @@
 """Exact correlation engine: examples, the law, the quadrature oracle.
 
-The engine is pinned against the law and against a merged-breakpoint
-oracle that lives only here.
+The engine is pinned against the law, against a merged-breakpoint
+oracle that lives only here, and its floor sums against a literal loop.
 """
 
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab
-from fraclab import acceptance, exact
+from fraclab import exact
 from fraclab.acceptance import correlation_quadrature
 
 
@@ -66,31 +65,7 @@ def test_law_on_random_pairs_with_quadrature_oracle():
         m = rng.randint(1, 200)
         law = fraclab.correlation_closed_form(n, m)
         assert fraclab.exact_correlation(n, m) == law
-        assert abs(correlation_quadrature(n, m) - float(law)) < 1e-9
-
-
-def quadrature_one_array(n, m):
-    """The quadrature oracle as one (pieces x panels) array, before row
-    blocks; returns the estimate and its panel count."""
-    bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
-    w = np.diff(bp)
-    s3 = float(np.sum(w**3))
-    panels = max(64, int(math.sqrt(n * m * s3 / (12.0 * 2e-10))) + 1)
-    offsets = (np.arange(panels) + 0.5) / panels
-    xs = bp[:-1][:, None] + w[:, None] * offsets[None, :]
-    f = (n * xs - np.floor(n * xs)) * (m * xs - np.floor(m * xs))
-    return float(np.sum(f.mean(axis=1) * w)), panels
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
-def test_quadrature_blocks_equal_one_array(monkeypatch, rows):
-    # the pair has 300 breakpoint rows of 14,427 panels, cut into blocks of
-    # `rows` rows (7 leaves a short last block); None keeps the default
-    # block size, 72 rows
-    expected, panels = quadrature_one_array(148, 153)
-    if rows is not None:
-        monkeypatch.setattr(acceptance, "QUADRATURE_BLOCK", rows * panels + panels // 2)
-    assert correlation_quadrature(148, 153).hex() == expected.hex()
+        assert abs(correlation_quadrature(n, m) - float(law)) < 1e-12
 
 
 @given(n=st.integers(1, 60), m=st.integers(1, 60))
@@ -136,17 +111,51 @@ def _merged_sweep_total(T, p, q):
     return total
 
 
-# (T, P, Q) with P >= Q and T a multiple of P, as the engine takes them
-sweep_args = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 30)).map(
-    lambda t: (t[2] * max(t[0], t[1]), max(t[0], t[1]), min(t[0], t[1]))
+# (T, P, Q) with T = k lcm(P, Q), a common multiple, as the engine takes them
+sweep_args = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 6)).map(
+    lambda t: (t[2] * math.lcm(t[0], t[1]), t[0], t[1])
 )
 
 
 @given(triple=sweep_args)
 @settings(max_examples=150)
+@example(triple=(0, 7, 3))     # k = 0
+@example(triple=(15, 5, 5))    # P = Q
+@example(triple=(24, 8, 1))    # Q = 1
+@example(triple=(24, 1, 8))    # P = 1
 def test_engine_matches_merged_breakpoint_oracle(triple):
     T, P, Q = triple
-    assert exact._sweep_totals([T], [P], [Q]) == [_merged_sweep_total(T, P, Q)]
+    assert exact._sweep_total(T, P, Q) == _merged_sweep_total(T, P, Q)
+
+
+small_or_large = st.one_of(st.integers(0, 60), st.integers(0, 10**9))
+
+
+@given(n=st.integers(0, 40), a=small_or_large, b=small_or_large,
+       c=st.one_of(st.integers(1, 60), st.integers(1, 10**9)))
+@settings(max_examples=300)
+@example(n=0, a=5, b=3, c=2)
+@example(n=7, a=0, b=9, c=4)
+@example(n=30, a=13, b=0, c=8)
+def test_floor_sums_match_a_literal_loop(n, a, b, c):
+    ys = [(a * i + b) // c for i in range(n)]
+    expected = (sum(ys), sum(i * y for i, y in enumerate(ys)), sum(y * y for y in ys))
+    assert exact._floor_sums(n, a, b, c) == expected
+
+
+@given(a=st.integers(1, 10**9), b=st.integers(1, 10**9), k=st.integers(1, 10**9))
+@settings(max_examples=200)
+@example(a=10**9, b=10**9 - 1, k=10**9)
+@example(a=1, b=10**9, k=1)
+def test_engine_matches_law_past_the_pair_guard(a, b, k):
+    # n, m up to 10^18: the lattice is built here, below _check_pair's
+    # input policy, and the law written out
+    n, m = k * a, k * b
+    g = math.gcd(n, m)
+    p, q = m // g, n // g
+    L = n * p
+    law = Fraction(1, 4) + Fraction(g * g, 12 * n * m)
+    assert Fraction(exact._sweep_total(L, p, q), 6 * L * p * q) == law
 
 
 @given(n=st.integers(1, exact.PAIR_SIZE_LIMIT - 1), data=st.data())
@@ -154,19 +163,6 @@ def test_engine_matches_merged_breakpoint_oracle(triple):
 def test_engine_matches_law_over_the_pair_range(n, data):
     m = data.draw(st.integers(1, exact.PAIR_SIZE_LIMIT - n), label="m")
     assert fraclab.exact_correlation(n, m) == fraclab.correlation_closed_form(n, m)
-
-
-@given(
-    batch=st.lists(sweep_args, min_size=1, max_size=12),
-    chunk=st.sampled_from([1, 2, 3, 7, 64]),
-)
-@settings(max_examples=60)
-@example(batch=[(6, 3, 3), (0, 5, 2), (12, 2, 2), (35, 7, 5), (4, 1, 1)], chunk=4)
-def test_batch_equals_one_at_a_time(batch, chunk):
-    alone = [exact._sweep_totals([T], [P], [Q])[0] for T, P, Q in batch]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "ENGINE_CHUNK", chunk)
-        assert exact._sweep_totals(*zip(*batch)) == alone
 
 
 def test_exact_correlations_match_single_calls():
@@ -181,28 +177,15 @@ def test_exact_correlations_match_single_calls():
     [
         (1, 999999, 1),
         (499999, 500000, 1),
-        (1, 999999, 2),            # X (n + m) at the direct-check limit
-        (333333, 666667, 2),       # same, with the largest P^2 Q
+        (1, 999999, 2),
+        (333333, 666667, 2),
         (499999, 500000, 2),
+        (499999, 500000, 10**9),   # the [0, X] check at any X
     ],
 )
-def test_int64_edges(n, m, X):
-    assert X * (n + m) <= exact._DIRECT_CHECK_LIMIT
+def test_law_on_large_pairs(n, m, X):
     cv = fraclab.expected_correlation(n, m, X)
     assert cv.value == fraclab.correlation_closed_form(n, m)
-
-
-@pytest.mark.parametrize(
-    "P, Q", [(999999, 1), (999998, 2), (666667, 333333), (500000, 499999)]
-)
-def test_interval_values_fit_int64(P, Q):
-    # the same closed form in Python ints (object arrays) cannot wrap
-    rng = np.random.default_rng(P)
-    s = np.unique(np.r_[0:50, Q - 50 : Q, rng.integers(0, Q, 500)].clip(0, Q - 1))
-    fixed = exact._interval_values(s, np.int64(P), np.int64(Q))
-    wide = exact._interval_values(s.astype(object), P, Q)
-    assert fixed.tolist() == wide.tolist()
-    assert all(0 <= v < 3 * P * P * Q for v in wide.tolist())
 
 
 def test_engine_does_not_consult_the_law(monkeypatch):
