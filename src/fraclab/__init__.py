@@ -1,8 +1,8 @@
 """fraclab: exact fractional-part correlations and Moebius-weighted series.
 
 The package sieves the Moebius and Mertens functions, evaluates the
-correlation E_X({nx}{mx}) in exact rational arithmetic by breakpoint
-decomposition, sums the Moebius-weighted sine series and the
+correlation E_X({nx}{mx}) in exact rational arithmetic from closed
+forms and floor sums, sums the Moebius-weighted sine series and the
 off-diagonal correlation double series toward its limit -9/(2 pi^2),
 and checks the finite Abel-summation identities behind the Mertens tail
 integrals.  See the ``fraclab`` command for the CSV front end and the

@@ -2,16 +2,17 @@
 
 Figure 1 is the correlation profile E_100({nx}{6x}) for n = 1..12 with
 exact values; figure 2 is the partial-sum sweep of the correlation
-double series against its limit.  Emission is fully deterministic, so
-repeated runs are byte-identical and figure 1 is pinned by a golden
-file shipped with the package.
+double series against its limit.  Every CSV table the command-line
+tool prints is rendered by ``csv_text``.  Emission is fully
+deterministic, so repeated runs are byte-identical and figure 1 is
+pinned by a golden file shipped with the package.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from typing import List, Sequence
+from fractions import Fraction
+from typing import Iterable, List, Sequence
 
 from .arithmetic import MoebiusTable
 from .exact import expected_correlation
@@ -52,23 +53,29 @@ def figure1_rows() -> List[dict]:
     return rows
 
 
+def csv_text(header: str, rows: Iterable[Sequence], digits: int) -> str:
+    """CSV text: the header line, then one line per row.
+
+    ``str`` and ``int`` cells print as ``str(c)``; ``Fraction`` and
+    ``float`` cells through ``format_decimal`` at ``digits`` significant
+    figures.
+    """
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            format_decimal(c, digits) if isinstance(c, (Fraction, float)) else str(c)
+            for c in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def figure1_csv(digits: int = 15) -> str:
-    out = io.StringIO()
-    out.write("n,m,X,value,value_exact,gcd,relation\n")
-    for row in figure1_rows():
-        out.write(
-            "%d,%d,%d,%s,%s,%d,%s\n"
-            % (
-                row["n"],
-                row["m"],
-                row["X"],
-                format_decimal(row["value"], digits),
-                rational_string(row["value"]),
-                row["gcd"],
-                row["relation"],
-            )
-        )
-    return out.getvalue()
+    rows = (
+        (r["n"], r["m"], r["X"], r["value"], rational_string(r["value"]), r["gcd"],
+         r["relation"])
+        for r in figure1_rows()
+    )
+    return csv_text("n,m,X,value,value_exact,gcd,relation", rows, digits)
 
 
 def points_csv(points: Sequence[SeriesPoint], digits: int = 15) -> str:
@@ -79,22 +86,9 @@ def points_csv(points: Sequence[SeriesPoint], digits: int = 15) -> str:
     DOUBLE_SUM_LIMIT.
     """
     target = format_decimal(DOUBLE_SUM_LIMIT, digits)
-    out = io.StringIO()
-    out.write("N,X,value,target,abs_error\n")
-    for pt in points:
-        out.write(
-            "%d,%d,%s,%s,%s\n"
-            % (
-                pt.N,
-                SERIES_X,
-                format_decimal(pt.value, digits),
-                target,
-                format_decimal(pt.abs_error, digits),
-            )
-        )
-    return out.getvalue()
+    rows = ((pt.N, SERIES_X, pt.value, target, pt.abs_error) for pt in points)
+    return csv_text("N,X,value,target,abs_error", rows, digits)
 
 
-def figure2_csv(table: MoebiusTable, n_max: int = 100, fast: bool = True,
-                digits: int = 15) -> str:
+def figure2_csv(table: MoebiusTable, n_max: int, fast: bool, digits: int) -> str:
     return points_csv(correlation_double_sum_sweep(table, n_max, fast=fast), digits)

@@ -31,9 +31,10 @@ tie-break tests).
 
 For rational x = p/q every breakpoint is exact: in the scaled variable
 t = u * p, integer steps of M land on multiples of p and jump points on
-multiples of q, so the piece sweep is all-integer and mirrors the
-correlation engine.  Irrational x would make the breakpoints
-approximate and the 1e-9 contract unattainable, hence rational x only.
+multiples of q, so the pieces come from one all-integer merge of the
+two sets of multiples (``np.union1d``).  Irrational x would make the
+breakpoints approximate and the 1e-9 contract unattainable, hence
+rational x only.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -118,16 +119,8 @@ def _coerce_x(x) -> Fraction:
     return xf
 
 
-def _mertens_left(table: MoebiusTable, num: int, p: int) -> int:
-    # M at the left limit of u = num/p: step down by one index when u is
-    # an integer, since M itself steps exactly there
-    if num % p == 0:
-        return int(table.mertens[num // p - 1])
-    return int(table.mertens[num // p])
-
-
-def _jump_sum(table: MoebiusTable, N: int, U: int, p: int, q: int) -> float:
-    """x * sum over jump points u0 = k/x in (N, U] of M(u0^-) / k."""
+def _jumps(N: int, U: int, p: int, q: int) -> np.ndarray:
+    """The k whose jump point u = k/x, x = p/q, lies in (N, U]."""
     k0 = N * p // q + 1
     k1 = U * p // q
     if k1 - k0 + 1 > _MAX_JUMPS:
@@ -135,37 +128,36 @@ def _jump_sum(table: MoebiusTable, N: int, U: int, p: int, q: int) -> float:
             f"x={p}/{q} puts {k1 - k0 + 1} jump points in ({N}, {U}]; "
             f"guard is {_MAX_JUMPS}"
         )
-    x = p / q
-    terms = [
-        _mertens_left(table, k * q, p) * x / k for k in range(k0, k1 + 1)
-    ]
-    return math.fsum(terms)
+    return np.arange(k0, k1 + 1, dtype=np.int64)
+
+
+def _jump_sum(table: MoebiusTable, N: int, U: int, p: int, q: int) -> float:
+    """x * sum over jump points u0 = k/x in (N, U] of M(u0^-) / k.
+
+    M steps at the integers, so its left limit at u0 = kq/p is
+    M(ceil(u0) - 1) = M((kq - 1) // p): one index lower when u0 is an
+    integer.
+    """
+    k = _jumps(N, U, p, q)
+    left = table.mertens[(k * q - 1) // p].astype(np.float64)
+    return math.fsum(left * (p / q) / k)
 
 
 def _step_pieces(
     table: MoebiusTable, N: int, U: int, p: int, q: int
-) -> Iterator[Tuple[int, int, int, int]]:
-    """Pieces (t0, t1, M, floor(ux)) of [N, U] scaled by t = u * p.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (t0, t1, M, floor(ux)) of the pieces of [N, U] scaled by
+    t = u * p.
 
-    Breakpoints are the multiples of p (integer u, where M steps) and of
-    q (jump points of {ux}) merged in order; on each closed-open piece
-    both M(u) = M(t0 // p) and floor(ux) = t0 // q are constant.
+    The breakpoints are the multiples of p (integer u, where M steps) and
+    of q (jump points of {ux}) in [Np, Up], merged by one ``np.union1d``;
+    on each closed-open piece both M(u) = M(t0 // p) and
+    floor(ux) = t0 // q are constant.
     """
-    t = N * p
-    t_max = U * p
-    na = (t // p + 1) * p
-    nb = (t // q + 1) * q
-    mer = table.mertens
-    while t < t_max:
-        t1 = min(na, nb)
-        if t1 > t_max:
-            t1 = t_max
-        yield t, t1, int(mer[t // p]), t // q
-        if t1 == na:
-            na += p
-        if t1 == nb:
-            nb += q
-        t = t1
+    jumps = _jumps(N, U, p, q) * q  # the guard first: jumps set the piece count
+    bp = np.union1d(np.arange(N, U + 1, dtype=np.int64) * p, jumps)
+    t0, t1 = bp[:-1], bp[1:]
+    return t0, t1, table.mertens[t0 // p], t0 // q
 
 
 def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
@@ -190,10 +182,11 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
         - int(table.mertens[N]) * ((N * p) % q) / q / N
     )
     drift = -(p / q) * tail_integral_u1(table, N, U)
-    frac_terms = [
-        m * ((p / q) * math.log1p((t1 - t0) / t0) + a * p * (1.0 / t1 - 1.0 / t0))
-        for t0, t1, m, a in _step_pieces(table, N, U, p, q)
-    ]
+    t0, t1, m, a = _step_pieces(table, N, U, p, q)
+    # math.log1p per piece: np.log1p may differ from it in the last bit
+    logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
+    # a * float(p): the int64 product a * p can overflow for large p
+    frac_terms = m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0))
     frac_integral = math.fsum(frac_terms)
     rhs = boundary + drift + frac_integral + _jump_sum(table, N, U, p, q)
     return abs(lhs - rhs)

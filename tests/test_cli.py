@@ -22,6 +22,79 @@ def test_figure1_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == golden
 
 
+#: the fast float and the direct exact routes print the same rows
+SERIES_12 = """\
+N,X,value,target,abs_error
+1,100,0,-0.45594532639052,0.45594532639052
+2,100,-0.291666666666667,-0.45594532639052,0.164278659723853
+3,100,-0.388888888888889,-0.45594532639052,0.0670564375016311
+4,100,-0.388888888888889,-0.45594532639052,0.0670564375016311
+5,100,-0.409814814814815,-0.45594532639052,0.0461305115757052
+6,100,-0.417407407407407,-0.45594532639052,0.0385379189831126
+7,100,-0.429062736205593,-0.45594532639052,0.0268825901849266
+8,100,-0.429062736205593,-0.45594532639052,0.0268825901849266
+9,100,-0.429062736205593,-0.45594532639052,0.0268825901849266
+10,100,-0.431239606953893,-0.45594532639052,0.0247057194366273
+11,100,-0.436201001980223,-0.45594532639052,0.0197443244102972
+12,100,-0.436201001980223,-0.45594532639052,0.0197443244102972
+"""
+
+#: stdout of the small CSV commands, byte for byte
+GOLDEN_STDOUT = {
+    "sieve --limit 1000": """\
+limit,1000
+mertens,2
+squarefree_count,608
+""",
+    "correlate --n 5 --m 6 --x-range 100": """\
+n,m,X,value,value_exact,method,gcd
+5,6,100,0.252777777777778,91/360,piecewise,1
+""",
+    "correlate --n 5 --m 6 --x-range 100 --method closed-form": """\
+n,m,X,value,value_exact,method,gcd
+5,6,100,0.252777777777778,91/360,closed_form,1
+""",
+    "sine-series --x 0.3 --n-max 1000 --points 7 --digits 8": """\
+N,x,value,target,abs_error
+1,0.3,-0.9424778,0.95105652,1.8935343
+3,0.3,0.9424778,0.95105652,0.0085787202
+10,0.3,0.88263794,0.95105652,0.06841858
+32,0.3,1.1723777,0.95105652,0.22132115
+100,0.3,1.0233397,0.95105652,0.072283204
+316,0.3,0.99452459,0.95105652,0.04346807
+1000,0.3,0.93927853,0.95105652,0.01177799
+""",
+    "series --n-max 12": SERIES_12,
+    "series --n-max 12 --exact --naive": SERIES_12,
+    "figure2 --n-max 12 --naive --digits 20": """\
+N,X,value,target,abs_error
+1,100,0,-0.45594532639051998935,0.45594532639051998935
+2,100,-0.29166666666666668517,-0.45594532639051998935,0.16427865972385330418
+3,100,-0.38888888888888889506,-0.45594532639051998935,0.067056437501631094289
+4,100,-0.38888888888888889506,-0.45594532639051998935,0.067056437501631094289
+5,100,-0.40981481481481485396,-0.45594532639051998935,0.046130511575705135385
+6,100,-0.41740740740740744918,-0.45594532639051998935,0.038537918983112540161
+7,100,-0.42906273620559337578,-0.45594532639051998935,0.026882590184926613563
+8,100,-0.42906273620559337578,-0.45594532639051998935,0.026882590184926613563
+9,100,-0.42906273620559337578,-0.45594532639051998935,0.026882590184926613563
+10,100,-0.4312396069538926846,-0.45594532639051998935,0.024705719436627304741
+11,100,-0.43620100198022276894,-0.45594532639051998935,0.019744324410297220407
+12,100,-0.43620100198022276894,-0.45594532639051998935,0.019744324410297220407
+""",
+    "tails --cutoffs 100,1000 --limit 1000": """\
+N,mertens_ratio,tail_u2,tail_u1,bound_fit
+100,0.01,-0.0187196637572914,-4.3126538192227,0.0855029706072321
+1000,0.002,0,0,0.0276993255754002
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_csv_commands_match_golden(monkeypatch, capsys, command):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert run_cli(command.split(), capsys) == (0, GOLDEN_STDOUT[command], "")
+
+
 def test_figure1_deterministic(capsys):
     rc1, first, _ = run_cli(["figure1"], capsys)
     rc2, second, _ = run_cli(["figure1"], capsys)
@@ -265,6 +338,12 @@ def test_verify_passing_subset(capsys, table6):
     assert " 12 PASS" in out
     assert "2/2 criteria passed" in out
     assert err == ""
+
+
+def test_verify_stdout_depends_only_on_configuration(capsys, table6):
+    first = run_cli(["verify", "--only", "5,12"], capsys)
+    assert first[0] == 0
+    assert run_cli(["verify", "--only", "5,12"], capsys) == first
 
 
 @pytest.mark.parametrize("only", ["13", "0", "1,13", "x", "5.0", ","])

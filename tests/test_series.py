@@ -191,6 +191,14 @@ def test_error_envelope_shrinks(table6):
     assert errs[2] < errs[1] < errs[0]
 
 
+def test_convergence_rate_to_ten_to_the_five(table6):
+    # N (S(N) + 9/(2 pi^2)) stays in [0.2, 0.3] well past criterion 3's N = 2000
+    sweep = fraclab.correlation_double_sum_sweep(table6, 10**5, fast=True)
+    rates = [p.N * (p.value - DOUBLE_SUM_LIMIT) for p in sweep[99:]]
+    assert len(rates) == 10**5 - 99
+    assert 0.2 <= min(rates) and max(rates) <= 0.3
+
+
 def test_series_point_error_not_stale():
     pt = fraclab.SeriesPoint(N=5, value=0.0)
     before = pt.abs_error

@@ -212,8 +212,9 @@ def test_abel_tie_break_at_coincident_jumps(table4):
     # the identity only closes if those jumps read M at the left limit
     for N, U in [(1, 2), (2, 4), (10, 50), (99, 200)]:
         assert fraclab.abel_identity_check(table4, N, U, Fraction(1, 2)) < 1e-9
-    assert tails._mertens_left(table4, 4, 2) == int(table4.mertens[1])  # u = 2
-    assert tails._mertens_left(table4, 5, 2) == int(table4.mertens[2])  # u = 5/2
+    # one jump in each range: the jump sum is x M(u^-) / k at index (kq - 1) // p
+    assert tails._jump_sum(table4, 1, 2, 1, 2) == 0.5 * int(table4.mertens[1])  # u = 2
+    assert tails._jump_sum(table4, 2, 3, 2, 5) == 0.4 * int(table4.mertens[2])  # u = 5/2
 
 
 def test_abel_rejects_bad_x(table4):
@@ -233,6 +234,12 @@ def test_abel_x_above_one_is_fine(table4):
     assert fraclab.abel_identity_check(table4, 5, 400, Fraction(7, 5)) < 1e-9
 
 
+def test_abel_large_numerator_does_not_wrap(table6):
+    # floor(ux) * p reaches 1e19 here, past int64
+    x = Fraction(10**8 + 1, 1000)
+    assert fraclab.abel_identity_check(table6, 999990, 999991, x) < 1e-9
+
+
 def floor_sum_expansion(table, N, U, p, q):
     """The jump sum x * sum_{N<k/x<=U} M((k/x)^-)/k at x = p/q, expanded
     by the same summation by parts applied to floor(ux)/u instead of
@@ -245,9 +252,9 @@ def floor_sum_expansion(table, N, U, p, q):
         int(table.mertens[U]) * (U * p // q) / U
         - int(table.mertens[N]) * (N * p // q) / N
     )
+    pieces = (v.tolist() for v in tails._step_pieces(table, N, U, p, q))
     floor_integral = math.fsum(
-        m * a * p * (1.0 / t0 - 1.0 / t1)
-        for t0, t1, m, a in tails._step_pieces(table, N, U, p, q)
+        m * a * p * (1.0 / t0 - 1.0 / t1) for t0, t1, m, a in zip(*pieces)
     )
     mu_sum = math.fsum(
         int(table.mu[n]) * (n * p // q) / n for n in range(N + 1, U + 1)
