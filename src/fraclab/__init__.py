@@ -26,6 +26,7 @@ from .exact import (
     exact_correlation,
     exact_correlations,
     expected_correlation,
+    expected_correlations,
 )
 from .series import (
     DOUBLE_SUM_LIMIT,
@@ -64,6 +65,7 @@ __all__ = [
     "exact_correlation",
     "exact_correlations",
     "expected_correlation",
+    "expected_correlations",
     "DOUBLE_SUM_LIMIT",
     "SeriesPoint",
     "correlation_double_sum",

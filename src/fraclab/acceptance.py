@@ -69,14 +69,11 @@ def correlation_quadrature(n: int, m: int) -> float:
 
 def _c1_diagonal_exact(table: MoebiusTable) -> Tuple[bool, str]:
     third = Fraction(1, 3)
-    checked = 0
-    for n in range(1, 1001):
-        for X in (1, 7, 100):
-            cv = exact.expected_correlation(n, n, X)
-            if cv.value != third:
-                return False, f"E_{X}({{{n}x}}^2) = {cv.value} != 1/3"
-            checked += 1
-    return True, f"{checked} diagonal averages all exactly 1/3"
+    triples = [(n, n, X) for n in range(1, 1001) for X in (1, 7, 100)]
+    for cv in exact.expected_correlations(triples):
+        if cv.value != third:
+            return False, f"E_{cv.X}({{{cv.n}x}}^2) = {cv.value} != 1/3"
+    return True, f"{len(triples)} diagonal averages all exactly 1/3"
 
 
 def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
@@ -92,8 +89,11 @@ def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
         if gap >= 1e-12:
             return False, f"quadrature gap {gap:.3e} at (n={n}, m={m})"
     grid = [(n, m) for n in range(1, 201) for m in range(1, 201)]
-    for (n, m), value in zip(grid, exact.exact_correlations(grid)):
-        if value != exact.correlation_closed_form(n, m):
+    # the engine's total / den against the law (3nm + g^2) / (12nm),
+    # cross-multiplied
+    for (n, m), (total, den) in zip(grid, exact._correlation_terms(grid)):
+        g = math.gcd(n, m)
+        if total * 12 * n * m != den * (3 * n * m + g * g):
             return False, f"law broken at (n={n}, m={m})"
     return True, (
         f"law validated: quadrature worst gap {worst:.2e} on 20 pairs, "

@@ -149,6 +149,8 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
     x = args.x
     if not math.isfinite(x):
         raise ConfigError(f"--x must be a finite number, got {x}")
+    if not math.isfinite(2.0 * math.pi * x):
+        raise ConfigError(f"--x is too large: 2 pi x overflows, got {x}")
     table = _get_table(args, args.n_max, prefix_only=True)
     target = math.sin(2.0 * math.pi * x)
     grid = _n_grid(args.n_max, args.points)

@@ -15,9 +15,10 @@ Substitute x = t / L with L = lcm(n, m), p = L/n, q = L/m.  Then
 
     E_X = total / (6 L p q X),  total = 6 integral_0^{XL} (t mod p)(t mod q) dt.
 
-The engine behind every exact correlation, ``_sweep_total``, computes
-that integer for integers P, Q >= 1 and any T that is a common multiple
-of both, in Python ints, with no rational arithmetic and no rounding.
+The engine behind every exact correlation, ``_sweep_totals``, computes
+that integer for a batch of rows (T, P, Q) with integers P, Q >= 1 and
+T a common multiple of both, with no rational arithmetic and no
+rounding.
 
 Unit steps.  P and Q are integers, so neither t mod P nor t mod Q wraps
 inside a step [j, j+1).  With x = j mod P and y = j mod Q the step gives
@@ -43,8 +44,39 @@ Floor sums.  ``_floor_sums`` gets f, g and h by the degree-2 "universal
 Euclidean" recursion, which extends the floor_sum of AtCoder Library
 (atcoder/math.hpp) to g and h: reduce the slope and the offset mod the
 divisor, then swap the two axes of the lattice-point count.  That is
-Euclid's algorithm on P/Q, about log(P) levels, run as a loop over a
-stack.
+Euclid's algorithm on P/Q, about log(P) levels.
+
+Lockstep batch.  ``_floor_sums`` runs that recursion on arrays, one row
+per floor sum, every row one level at a time.  A level reduces all
+rows, keeps its frame, and swaps them; a row whose reduced maximum m is
+0 is finished and goes on with n = 0 (and divisor 1), whose frames add
+nothing, until every row is finished.  The way back up combines the
+frames with the same lines for every row: a finished row carries
+f = g = h = 0 and m = 0, for which the swap formulas give 0 again.
+
+Chunks and dtype.  ``_sweep_totals`` cuts a batch into chunks of
+ENGINE_CHUNK rows, which bounds the arrays it holds at once.  A chunk
+whose entries are all at most INT64_SIZE = 2^19 (for T >= 1 the largest
+is T) runs on int64 arrays, any other on object arrays of Python ints,
+through the same lines.  numpy int64 arithmetic wraps silently, so the
+bound is derived:
+
+* Let S bound n, a, b, c and y_max + 1 of a floor sum.  The swap makes
+  the next level's n the reduced maximum m <= y_max, its y values at
+  most the current n - 2, its divisor the reduced slope (< c) and its
+  slope and offset at most c, so every level stays within S.  Every
+  product of the recursion is then at most S^3: a(n-1) + b < cn <= S^2
+  for the reduced a, b; m n (n-1), (n-1) m^2 and s1 (2n - 1) <= S^3.
+  Every sum is part of a level's true f <= S^2, g <= S^3/2 or
+  h <= S^3: qa qa s2 <= y_max^2 n because qa (n-1) <= y_max, and for
+  n <= 1, where s2 = s1 = 0, qa qa alone is at most S^2.
+* A row of ``_sweep_totals`` whose T, P and Q are at most S has
+  n = T/P, a = P, b = 0, c = Q and y_max < T/Q, all within S.  Its
+  closing polynomial stays below 16 S^3: T (2T^2 + P^2 + 6PQ + Q^2)
+  <= 10 S^3, and 3PQ Q (f + h) <= 6 T^3, 6 P^2 Q g <= 3 T^3 with
+  f <= T^2/(PQ), g <= T^3/(2 P^2 Q) and h <= T^3/(P Q^2).
+
+At S <= 2^19 every intermediate is below 16 * 2^57 = 2^61 < 2^63.
 
 Independence.  The engine never uses the law, the period (that the
 [0, X] integral is X times one period), or the Chinese remainder
@@ -62,11 +94,19 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-#: input policy: the largest n + m a request may have.  The engine works
-#: in Python ints in O(log(n + m)) steps, so this bounds no int64 work.
+import numpy as np
+
+#: input policy: the largest n + m a request may have.  The engine's
+#: dtype follows from each chunk's T, so this bounds no int64 work.
 PAIR_SIZE_LIMIT = 10**6
+
+#: rows per chunk of the lockstep engine
+ENGINE_CHUNK = 4096
+
+#: largest entry of a chunk that runs on int64 arrays (module docstring)
+INT64_SIZE = 2**19
 
 METHOD_PIECEWISE = "piecewise"
 METHOD_CLOSED_FORM = "closed_form"
@@ -99,57 +139,68 @@ def _check_pair(n: int, m: int) -> None:
         raise ValueError(f"n and m must be positive integers, got ({n}, {m})")
     if n + m > PAIR_SIZE_LIMIT:
         raise ValueError(
-            f"n + m = {n + m} exceeds the breakpoint guard {PAIR_SIZE_LIMIT}"
+            f"n + m = {n + m} exceeds the pair size limit {PAIR_SIZE_LIMIT}"
         )
 
 
-def _floor_sums(n: int, a: int, b: int, c: int) -> Tuple[int, int, int]:
-    """(f, g, h) = sums over 0 <= i < n of y, i*y and y^2, where
-    y = floor((a*i + b) / c); needs n, a, b >= 0 and c >= 1.
+def _floor_sums(
+    n: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, (f, g, h) = sums over 0 <= i < n of y, i*y and y^2,
+    where y = floor((a*i + b) / c); needs n, a, b >= 0 and c >= 1.
 
-    Each level first splits off y = (a//c) i + b//c + y' and keeps a, b
-    mod c.  Then y' counts the j < y'_max with (j+1) c <= a i + b, and
-    summing over j instead of i is the same problem for
-    (c, c - b - 1, a) over y'_max terms.  The frames are stacked on the
-    way down and combined on the way up.
+    The arguments are arrays of one dtype, int64 or object, and so are
+    the results.  Each level first splits off y = (a//c) i + b//c + y'
+    and keeps a, b mod c.  Then y' counts the j < y'_max with
+    (j+1) c <= a i + b, and summing over j instead of i is the same
+    problem for (c, c - b - 1, a) over y'_max terms.  The frames are
+    kept on the way down and combined on the way up, all rows in
+    lockstep (module docstring).
     """
     frames = []
-    while n:
+    while n.any():
         qa, qb = a // c, b // c
         a, b = a % c, b % c
-        m = (a * (n - 1) + b) // c  # the largest reduced y'
+        m = np.maximum((a * (n - 1) + b) // c, 0)  # the largest reduced y'
         frames.append((n, qa, qb, m))
-        if m == 0:
-            break
-        a, b, c, n = c, c - b - 1, a, m
-    f = g = h = 0
+        a, b, c, n = c, c - b - 1, np.where(m > 0, a, 1), m
+    f = g = h = np.zeros_like(n)
     for n, qa, qb, m in reversed(frames):
-        if m:  # undo the swap: (f, g, h) of the swapped sums -> of y'
-            f, g, h = (
-                m * (n - 1) - f,
-                (m * n * (n - 1) - h - f) // 2,
-                (n - 1) * m * m - 2 * g - f,
-            )
+        # undo the swap: (f, g, h) of the swapped sums -> of y'
+        f, g, h = (
+            m * (n - 1) - f,
+            (m * n * (n - 1) - h - f) // 2,
+            (n - 1) * m * m - 2 * g - f,
+        )
         s1 = n * (n - 1) // 2  # sum of i
         s2 = s1 * (2 * n - 1) // 3  # sum of i^2
-        h += qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
-        f += qa * s1 + qb * n
-        g += qa * s2 + qb * s1
+        h = h + qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
+        f = f + qa * s1 + qb * n
+        g = g + qa * s2 + qb * s1
     return f, g, h
 
 
-def _sweep_total(T: int, P: int, Q: int) -> int:
-    """6 * integral_0^T (t mod P)(t mod Q) dt, exact.
+def _sweep_totals(rows: Sequence[Tuple[int, int, int]]) -> List[int]:
+    """6 * integral_0^T (t mod P)(t mod Q) dt, exact, for every row
+    (T, P, Q).
 
     Needs P, Q >= 1 and T >= 0 a common multiple of P and Q.  The
     polynomial collects the closed-form unit-step sums; the floor sums
-    carry -6PQ sum_{a<K} F(aP).  See the module docstring.
+    carry -6PQ sum_{a<K} F(aP).  Chunks of ENGINE_CHUNK rows run on
+    int64 or object arrays by their largest entry.  See the module
+    docstring.
     """
-    f, g, h = _floor_sums(T // P, P, 0, Q)
-    return (
-        T * (2 * T * T - 3 * T * (P + Q) + P * P + 6 * P * Q + Q * Q) // 2
-        + 3 * P * Q * (Q * (f + h) - 2 * P * g)
-    )
+    totals: List[int] = []
+    for start in range(0, len(rows), ENGINE_CHUNK):
+        chunk = rows[start : start + ENGINE_CHUNK]
+        small = max(map(max, chunk)) <= INT64_SIZE
+        T, P, Q = np.array(chunk, dtype=np.int64 if small else object).T
+        f, g, h = _floor_sums(T // P, P, np.zeros_like(P), Q)
+        totals += (
+            T * (2 * T * T - 3 * T * (P + Q) + P * P + 6 * P * Q + Q * Q) // 2
+            + 3 * P * Q * (Q * (f + h) - 2 * P * g)
+        ).tolist()
+    return totals
 
 
 def _lattice(n: int, m: int) -> Tuple[int, int, int]:
@@ -161,11 +212,18 @@ def _lattice(n: int, m: int) -> Tuple[int, int, int]:
     return n * p, p, q
 
 
+def _correlation_terms(pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """(total, 6 L p q) for every (n, m) from one engine batch: the
+    unreduced numerator and denominator of integral_0^1 {nx}{mx} dx."""
+    lattices = [_lattice(n, m) for n, m in pairs]
+    totals = _sweep_totals(lattices)
+    return [(t, 6 * L * p * q) for t, (L, p, q) in zip(totals, lattices)]
+
+
 def exact_correlations(pairs: Iterable[Tuple[int, int]]) -> List[Fraction]:
     """integral_0^1 {nx}{mx} dx as an exact Fraction for every (n, m);
     equal, pair for pair, to ``exact_correlation``."""
-    lattices = [_lattice(n, m) for n, m in pairs]
-    return [Fraction(_sweep_total(L, p, q), 6 * L * p * q) for L, p, q in lattices]
+    return [Fraction(t, d) for t, d in _correlation_terms(pairs)]
 
 
 def exact_correlation(n: int, m: int) -> Fraction:
@@ -177,6 +235,36 @@ def exact_correlation(n: int, m: int) -> Fraction:
     return exact_correlations([(n, m)])[0]
 
 
+def expected_correlations(
+    triples: Iterable[Tuple[int, int, int]]
+) -> List[CorrelationValue]:
+    """``expected_correlation`` for every (n, m, X), from one engine
+    batch that holds the [0, 1] and the [0, X] total of each."""
+    checked = []
+    for n, m, X in triples:
+        if isinstance(X, bool) or not isinstance(X, numbers.Integral):
+            raise ValueError(f"X must be a positive integer, got {X!r}")
+        if X < 1:
+            raise ValueError(f"X must be >= 1, got {X}")
+        checked.append((n, m, int(X), _lattice(n, m)))
+    rows = [lattice for *_, lattice in checked]
+    rows += [(X * L, p, q) for _, _, X, (L, p, q) in checked]
+    totals = _sweep_totals(rows)
+    values = []
+    for (n, m, X, (L, p, q)), one, full in zip(checked, totals, totals[len(checked):]):
+        den = 6 * L * p * q
+        # full / (den X) == one / den, cross-multiplied
+        if full != X * one:
+            raise AssertionError(
+                f"period-1 identity violated for (n={n}, m={m}, X={X}): "
+                f"{Fraction(full, den * X)} != {Fraction(one, den)}"
+            )
+        values.append(CorrelationValue(
+            n=n, m=m, X=X, value=Fraction(one, den), method=METHOD_PIECEWISE
+        ))
+    return values
+
+
 def expected_correlation(n: int, m: int, X: int) -> CorrelationValue:
     """(1/X) integral_0^X {nx}{mx} dx, exact, for integer X >= 1.
 
@@ -185,21 +273,7 @@ def expected_correlation(n: int, m: int, X: int) -> CorrelationValue:
     and the equality verified, not assumed, for every X.  Non-integer X
     is rejected.  A violated identity raises AssertionError.
     """
-    if isinstance(X, bool) or not isinstance(X, numbers.Integral):
-        raise ValueError(f"X must be a positive integer, got {X!r}")
-    if X < 1:
-        raise ValueError(f"X must be >= 1, got {X}")
-    X = int(X)
-    L, p, q = _lattice(n, m)
-    den = 6 * L * p * q
-    one_period = Fraction(_sweep_total(L, p, q), den)
-    value = Fraction(_sweep_total(X * L, p, q), den * X)
-    if value != one_period:
-        raise AssertionError(
-            f"period-1 identity violated for (n={n}, m={m}, X={X}): "
-            f"{value} != {one_period}"
-        )
-    return CorrelationValue(n=n, m=m, X=X, value=value, method=METHOD_PIECEWISE)
+    return expected_correlations([(n, m, X)])[0]
 
 
 def correlation_closed_form(n: int, m: int) -> Fraction:

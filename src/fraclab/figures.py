@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence
 
 from .arithmetic import MoebiusTable
-from .exact import expected_correlation
+from .exact import expected_correlations
 from .formatting import format_decimal, rational_string
 from .series import DOUBLE_SUM_LIMIT, SeriesPoint, correlation_double_sum_sweep
 
@@ -37,20 +37,19 @@ def _relation(n: int, m: int) -> str:
 
 
 def figure1_rows() -> List[dict]:
-    rows = []
-    for n in range(1, FIGURE1_N_MAX + 1):
-        cv = expected_correlation(n, FIGURE1_M, FIGURE1_X)
-        rows.append(
-            {
-                "n": n,
-                "m": FIGURE1_M,
-                "X": FIGURE1_X,
-                "value": cv.value,
-                "gcd": math.gcd(n, FIGURE1_M),
-                "relation": _relation(n, FIGURE1_M),
-            }
-        )
-    return rows
+    ns = range(1, FIGURE1_N_MAX + 1)
+    values = expected_correlations([(n, FIGURE1_M, FIGURE1_X) for n in ns])
+    return [
+        {
+            "n": n,
+            "m": FIGURE1_M,
+            "X": FIGURE1_X,
+            "value": cv.value,
+            "gcd": math.gcd(n, FIGURE1_M),
+            "relation": _relation(n, FIGURE1_M),
+        }
+        for n, cv in zip(ns, values)
+    ]
 
 
 def csv_text(header: str, rows: Iterable[Sequence], digits: int) -> str:

@@ -64,7 +64,7 @@ from .arithmetic import (
     _smallest_prime_factors,
     squarefree_zeta2_partial,
 )
-from .exact import exact_correlations
+from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
 DOUBLE_SUM_LIMIT = -9.0 / (2.0 * math.pi**2)
@@ -146,14 +146,32 @@ def _direct_row_float(table: MoebiusTable, n: int, below: np.ndarray) -> float:
     return float(np.sum(mum / below * c))
 
 
-def _direct_exact_row(table: MoebiusTable, n: int, below: List[int]) -> Fraction:
-    # 2 mu(n)/n * sum over square-free m in below of mu(m)/m * C(n, m),
-    # with every C(n, m) of the row from one batched engine call
-    cs = exact_correlations([(n, m) for m in below])
-    row = sum(
-        (Fraction(int(table.mu[m]), m) * c for m, c in zip(below, cs)), Fraction(0)
-    )
-    return Fraction(2 * int(table.mu[n]), n) * row
+def _direct_exact_rows(table: MoebiusTable, n_max: int) -> List[Fraction]:
+    """2 mu(n)/n * sum_{m < n} mu(m)/m * C(n, m) for every square-free
+    n <= n_max in increasing order, m over the square-free m < n.
+
+    Every C(n, m) = total/den comes from one engine batch.  A row sums
+    its reduced mu(m) total / (m den) over their lcm in integers, so
+    each row builds one Fraction.
+    """
+    sf = _squarefree_upto(table, n_max).tolist()
+    mu = table.mu[: n_max + 1].tolist()
+    pairs = [(n, m) for i, n in enumerate(sf) for m in sf[:i]]
+    terms = _correlation_terms(pairs)
+    rows = []
+    start = 0
+    for i, n in enumerate(sf):
+        nums, dens = [], []
+        for m, (total, den) in zip(sf[:i], terms[start : start + i]):
+            a, b = mu[m] * total, m * den
+            g = math.gcd(a, b)
+            nums.append(a // g)
+            dens.append(b // g)
+        start += i
+        lcm = math.lcm(*dens)
+        row = sum(a * (lcm // b) for a, b in zip(nums, dens))
+        rows.append(Fraction(2 * mu[n] * row, n * lcm))
+    return rows
 
 
 def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
@@ -216,8 +234,9 @@ def correlation_double_sum_sweep(
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
     one row of pairs (n, m < n) per square-free n: exact mode fetches
-    every C(n, m) of the row from the piecewise integration engine in
-    one batch and sums Fractions, capped at n_max <= DIRECT_EXACT_LIMIT
+    every C(n, m) of every row from the piecewise integration engine in
+    one batch and builds one Fraction per row, capped at
+    n_max <= DIRECT_EXACT_LIMIT
     because the reduced denominators grow like lcm(1..N)^2; float mode
     uses the closed-form law per pair and re-sums the rows with fsum for
     each point.
@@ -232,12 +251,11 @@ def correlation_double_sum_sweep(
     points: List[SeriesPoint] = []
     sf_flags = table.squarefree
     if exact:
-        seen: List[int] = []
+        rows = iter(_direct_exact_rows(table, n_max))
         total = Fraction(0)
         for n in range(1, n_max + 1):
             if sf_flags[n]:
-                total += _direct_exact_row(table, n, seen)
-                seen.append(n)
+                total += next(rows)
             points.append(SeriesPoint(N=n, value=total))
         return points
     sf = _squarefree_upto(table, n_max)

@@ -32,9 +32,17 @@ tie-break tests).
 For rational x = p/q every breakpoint is exact: in the scaled variable
 t = u * p, integer steps of M land on multiples of p and jump points on
 multiples of q, so the pieces come from one all-integer merge of the
-two sets of multiples (``np.union1d``).  Irrational x would make the
-breakpoints approximate and the 1e-9 contract unattainable, hence
-rational x only.
+two sets of multiples (concatenated, sorted, equal neighbours dropped).
+Irrational x would make the breakpoints approximate and the 1e-9
+contract unattainable, hence rational x only.
+
+The check also needs x small against U.  The piece terms
+M floor(ux) p (1/t1 - 1/t0) telescope, so the rounding of each 1/t (at
+most 2^-53/t) is weighted by p times the jump of M floor(ux) at t:
+about x 2^-53 at every step of M and at both ends, |M(u)| 2^-53/u at
+every {ux}-jump.  With |M(u)| <= u that is at most about
+4 floor(U x) 2^-53, below 1e-9 for floor(U x) <= MAX_FLOOR_UX = 10^6,
+which also caps the jump points in (N, U] at 10^6.
 """
 
 from __future__ import annotations
@@ -52,9 +60,9 @@ from .arithmetic import MoebiusTable, _range_fsums
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
 
-#: cap on {ux}-jump points inside (N, U]; large numerators blow the
-#: breakpoint count up just like large denominators would
-_MAX_JUMPS = 2_000_000
+#: largest floor(U x) accepted: past it the rounding of the step
+#: integral can reach the 1e-9 contract (module docstring)
+MAX_FLOOR_UX = 10**6
 
 
 @dataclass
@@ -120,15 +128,17 @@ def _coerce_x(x) -> Fraction:
 
 
 def _jumps(N: int, U: int, p: int, q: int) -> np.ndarray:
-    """The k whose jump point u = k/x, x = p/q, lies in (N, U]."""
-    k0 = N * p // q + 1
-    k1 = U * p // q
-    if k1 - k0 + 1 > _MAX_JUMPS:
+    """The k whose jump point u = k/x, x = p/q, lies in (N, U].
+
+    Raises ValueError when floor(U x) exceeds MAX_FLOOR_UX.
+    """
+    k1 = U * p // q  # floor(U x)
+    if k1 > MAX_FLOOR_UX:
         raise ValueError(
-            f"x={p}/{q} puts {k1 - k0 + 1} jump points in ({N}, {U}]; "
-            f"guard is {_MAX_JUMPS}"
+            f"x={p}/{q} gives floor(U x) = {k1} at U={U}, past the limit "
+            f"MAX_FLOOR_UX = {MAX_FLOOR_UX} of the 1e-9 check"
         )
-    return np.arange(k0, k1 + 1, dtype=np.int64)
+    return np.arange(N * p // q + 1, k1 + 1, dtype=np.int64)
 
 
 def _jump_sum(table: MoebiusTable, N: int, U: int, p: int, q: int) -> float:
@@ -150,12 +160,14 @@ def _step_pieces(
     t = u * p.
 
     The breakpoints are the multiples of p (integer u, where M steps) and
-    of q (jump points of {ux}) in [Np, Up], merged by one ``np.union1d``;
-    on each closed-open piece both M(u) = M(t0 // p) and
-    floor(ux) = t0 // q are constant.
+    of q (jump points of {ux}) in [Np, Up], merged by concatenating,
+    sorting and dropping equal neighbours; on each closed-open piece both
+    M(u) = M(t0 // p) and floor(ux) = t0 // q are constant.
     """
     jumps = _jumps(N, U, p, q) * q  # the guard first: jumps set the piece count
-    bp = np.union1d(np.arange(N, U + 1, dtype=np.int64) * p, jumps)
+    bp = np.concatenate((np.arange(N, U + 1, dtype=np.int64) * p, jumps))
+    bp.sort()
+    bp = bp[np.concatenate(([True], bp[1:] != bp[:-1]))]
     t0, t1 = bp[:-1], bp[1:]
     return t0, t1, table.mertens[t0 // p], t0 // q
 
@@ -173,9 +185,11 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     xf = _coerce_x(x)
     p, q = xf.numerator, xf.denominator
 
-    lhs = math.fsum(
-        int(table.mu[n]) * ((n * p) % q) / q / n for n in range(N + 1, U + 1)
-    )
+    # mu(n) {nx} / n term by term; mu r, q and n are exact in float64, so
+    # each division rounds as Python's int / int does
+    n = np.arange(N + 1, U + 1, dtype=np.int64)
+    r = n * (p % q) % q  # n p mod q
+    lhs = math.fsum((table.mu[N + 1 : U + 1] * r / q / n).tolist())
 
     boundary = (
         int(table.mertens[U]) * ((U * p) % q) / q / U
@@ -185,7 +199,7 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     t0, t1, m, a = _step_pieces(table, N, U, p, q)
     # math.log1p per piece: np.log1p may differ from it in the last bit
     logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
-    # a * float(p): the int64 product a * p can overflow for large p
+    # a * float(p): a p < 2^53 under MAX_FLOOR_UX, so the float product is exact
     frac_terms = m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0))
     frac_integral = math.fsum(frac_terms)
     rhs = boundary + drift + frac_integral + _jump_sum(table, N, U, p, q)

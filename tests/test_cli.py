@@ -1,5 +1,6 @@
 """Command-line surface: CSV schemas, determinism, exit codes."""
 
+import hashlib
 from importlib import resources
 
 import pytest
@@ -93,6 +94,40 @@ N,mertens_ratio,tail_u2,tail_u1,bound_fit
 def test_csv_commands_match_golden(monkeypatch, capsys, command):
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
     assert run_cli(command.split(), capsys) == (0, GOLDEN_STDOUT[command], "")
+
+
+#: the whole stdout of ``verify``; criterion 7 stays red, so it exits 1
+VERIFY_STDOUT = """\
+  1 PASS diagonal averages exactly 1/3: 3000 diagonal averages all exactly 1/3
+  2 PASS closed-form correlation law: law validated: quadrature worst gap 1.44e-15 on 20 pairs, then exact equality on the full 200x200 grid
+  3 PASS double-sum convergence to -9/(2 pi^2): |S(100)+9/(2pi^2)| = 0.002579 (<0.05), |S(2000)+...| = 0.000118 (<0.01), N (S(N)+9/(2pi^2)) in [0.2264, 0.2807] for N = 100..2000 (in [0.2, 0.3])
+  4 PASS fast/direct double-sum equivalence: exact rational equality of both routes for all N <= 300
+  5 PASS sum mu^2/n^2 near 15/pi^2: |sum mu^2/n^2 - 15/pi^2| = 6.076e-05 at N=10^4 (<2e-4)
+  6 PASS square-free density within 2 sqrt(N): density gaps 0.07, 3.73, 1.29, 1.10 all within 2 sqrt(N)
+  7 FAIL Mertens ratio smallness and decay: |M(1000)|/1000 = 2.00e-03, |M(10000)|/10000 = 2.30e-03, |M(100000)|/100000 = 4.80e-04, |M(1000000)|/1000000 = 2.12e-04; smallness ok, strict decrease FAILED (known: true Mertens values are not monotone here)
+  8 PASS Abel summation identity suite: 100 random triples, worst gap 7.62e-15 (<1e-9)
+  9 PASS sine-series residual trend: mean residual 0.04405 at N=10^2 vs 0.00262 at N=10^5 (need < 1/3)
+ 10 PASS squared-series expansion identity: worst expansion gap 5.55e-16 (<1e-10)
+ 11 PASS figure 1 reproduction and structure: byte-identical golden; E(6)=1/3 global peak, E(12) above the coprime minima {5,7,11}; exact ties on record: E(3)=E(12)=7/24, and E(4)=19/72 < E(2)=5/18 (no repeated-factor uplift)
+ 12 PASS Mertens tail integral diagnostics: tail(1,10^6) = -1.140e-05 (<0.05), additivity gap 2.63e-19 (<1e-12)
+11/12 criteria passed
+bookkeeping (report only): 1/2 + E(eps~_100) = 0.505100 vs pi^2/3 sum mu^2/n^2 + pi^2 S(100) = 0.505184 (Simpson sampling gap 8.40e-05)
+"""
+
+#: sha256 of the stdout of ``series --n-max 300 --exact --naive``
+SERIES_300_EXACT_SHA256 = "13bb26c97dfc8ea706013ffbbc157be94f6e549c3464a571a928495a422dd348"
+
+
+def test_verify_stdout_pinned(monkeypatch, capsys):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert run_cli(["verify"], capsys) == (1, VERIFY_STDOUT, "fraclab: warning: failing criteria: 7\n")
+
+
+def test_series_exact_naive_300_pinned(monkeypatch, capsys):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    rc, out, err = run_cli(["series", "--n-max", "300", "--exact", "--naive"], capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_300_EXACT_SHA256
 
 
 def test_figure1_deterministic(capsys):
@@ -202,6 +237,8 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
         (["sine-series", "--x", "nan"], "--x must be a finite number, got nan"),
         (["sine-series", "--x", "inf"], "--x must be a finite number, got inf"),
         (["sine-series", "--x=-inf"], "--x must be a finite number, got -inf"),
+        (["sine-series", "--x", "1e308"], "--x is too large: 2 pi x overflows, got 1e+308"),
+        (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
         (["tails", "--c", "nan"], "--c must be a positive finite number, got nan"),
         (["tails", "--c", "inf"], "--c must be a positive finite number, got inf"),
         (["tails", "--c", "0"], "--c must be a positive finite number, got 0.0"),
@@ -298,8 +335,11 @@ def test_invalid_limit_rejected(capsys):
     ids=["period-1", "period-1-large-x", "range"],
 )
 def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, message):
-    real = exact._sweep_total
-    monkeypatch.setattr(exact, "_sweep_total", lambda T, P, Q: wrong(T, real(T, P, Q)))
+    real = exact._sweep_totals
+    monkeypatch.setattr(
+        exact, "_sweep_totals",
+        lambda rows: [wrong(T, total) for (T, _, _), total in zip(rows, real(rows))],
+    )
     rc, out, err = run_cli(
         ["correlate", "--n", "5", "--m", "6", "--x-range", x_range], capsys
     )

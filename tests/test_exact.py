@@ -1,13 +1,15 @@
 """Exact correlation engine: examples, the law, the quadrature oracle.
 
 The engine is pinned against the law, against a merged-breakpoint
-oracle that lives only here, and its floor sums against a literal loop.
+oracle that lives only here, and its floor sums against a literal loop;
+its int64 and object arrays against each other at the int64 switch.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -124,23 +126,107 @@ sweep_args = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 6)
 @example(triple=(24, 8, 1))    # Q = 1
 @example(triple=(24, 1, 8))    # P = 1
 def test_engine_matches_merged_breakpoint_oracle(triple):
-    T, P, Q = triple
-    assert exact._sweep_total(T, P, Q) == _merged_sweep_total(T, P, Q)
+    assert exact._sweep_totals([triple]) == [_merged_sweep_total(*triple)]
 
 
-small_or_large = st.one_of(st.integers(0, 60), st.integers(0, 10**9))
+S = exact.INT64_SIZE
 
 
-@given(n=st.integers(0, 40), a=small_or_large, b=small_or_large,
-       c=st.one_of(st.integers(1, 60), st.integers(1, 10**9)))
-@settings(max_examples=300)
-@example(n=0, a=5, b=3, c=2)
-@example(n=7, a=0, b=9, c=4)
-@example(n=30, a=13, b=0, c=8)
-def test_floor_sums_match_a_literal_loop(n, a, b, c):
+def literal_floor_sums(n, a, b, c):
     ys = [(a * i + b) // c for i in range(n)]
-    expected = (sum(ys), sum(i * y for i, y in enumerate(ys)), sum(y * y for y in ys))
-    assert exact._floor_sums(n, a, b, c) == expected
+    return sum(ys), sum(i * y for i, y in enumerate(ys)), sum(y * y for y in ys)
+
+
+def floor_sums_batch(rows):
+    # the module docstring's rule for floor sums: int64 when n, a, b, c and
+    # y_max + 1 of every row are at most INT64_SIZE, object arrays otherwise
+    size = max(max(n, a, b, c, (a * (n - 1) + b) // c + 1) for n, a, b, c in rows)
+    f, g, h = exact._floor_sums(*np.array(rows, dtype=np.int64 if size <= S else object).T)
+    return list(zip(f.tolist(), g.tolist(), h.tolist()))
+
+
+small_or_large = st.one_of(
+    st.integers(0, 60), st.integers(0, 10**9), st.sampled_from([S - 1, S, S + 1, S + 2])
+)
+floor_rows = st.tuples(
+    st.integers(0, 40), small_or_large, small_or_large,
+    st.one_of(st.integers(1, 60), st.integers(1, 10**9), st.sampled_from([S, S + 1])),
+)
+
+
+@given(rows=st.lists(floor_rows, min_size=1, max_size=6))
+@settings(max_examples=300)
+@example(rows=[(0, 5, 3, 2), (7, 0, 9, 4), (30, 13, 0, 8)])
+@example(rows=[(40, S, S - 1, S), (40, S + 1, 0, S + 1)])   # below and above, one batch
+def test_floor_sums_match_a_literal_loop(rows):
+    expected = [literal_floor_sums(*row) for row in rows]
+    assert floor_sums_batch(rows) == expected                # one batch, one dtype
+    assert [floor_sums_batch([row])[0] for row in rows] == expected   # each at its own
+
+
+def at_the_switch(row):
+    # cut n so that y_max + 1 <= S: every row of size at most S, n up to S
+    n, a, b, c = row
+    if a:
+        n = min(n, (S * c - 1 - b) // a + 1)
+    return n, a, b, c
+
+
+switch_rows = st.tuples(
+    st.integers(S // 2, S), st.integers(0, S), st.integers(0, S - 1), st.integers(1, S)
+).map(at_the_switch)
+
+
+@given(rows=st.lists(switch_rows, min_size=1, max_size=4))
+@settings(max_examples=60)
+@example(rows=[(S, 1, 0, 1), (S, S, S - 1, S), (1, S, S - 1, 1), (2, S - 1, 0, 1)])
+def test_floor_sums_int64_equals_object_at_the_switch(rows):
+    # the largest rows the int64 path takes, against the same lines on
+    # Python ints (pinned to the literal loop above): a wrap would differ
+    def run(dtype):
+        return [v.tolist() for v in exact._floor_sums(*np.array(rows, dtype=dtype).T)]
+
+    assert all(max(n, a, b, c, (a * (n - 1) + b) // c + 1) <= S for n, a, b, c in rows)
+    assert run(np.int64) == run(object)
+
+
+def law_total(T, P, Q):
+    # 6 integral_0^T (t mod P)(t mod Q) dt from the law: T/L periods of
+    # 6 L P Q C(n, m) with L = lcm(P, Q), n = L/P, m = L/Q
+    L = math.lcm(P, Q)
+    n, m = L // P, L // Q
+    g = math.gcd(n, m)
+    return T // L * 6 * L * P * Q * (3 * n * m + g * g) // (12 * n * m)
+
+
+sweep_switch_rows = st.tuples(st.integers(1, 2000), st.integers(1, 2000), st.integers(-2, 2)).map(
+    lambda t: ((S // math.lcm(t[0], t[1]) + t[2]) * math.lcm(t[0], t[1]), t[0], t[1])
+).filter(lambda row: row[0] > 0)
+
+
+@pytest.mark.parametrize("chunk", [1, exact.ENGINE_CHUNK])
+@given(rows=st.lists(sweep_switch_rows, min_size=2, max_size=6))
+@settings(max_examples=40)
+@example(rows=[(S, 1, 1), (S + 1, 1, 1), (S, S, 1), (2 * S, S, S)])
+def test_sweep_totals_at_the_int64_switch(chunk, rows):
+    # T just below and just above INT64_SIZE in one batch; with chunks of
+    # one row each row runs at its own dtype
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "ENGINE_CHUNK", chunk)
+        assert exact._sweep_totals(rows) == [law_total(*row) for row in rows]
+
+
+def test_batch_longer_than_a_chunk(monkeypatch):
+    monkeypatch.setattr(exact, "ENGINE_CHUNK", 7)
+    pairs = [(n, m) for n in (1, 5, 6, 12, 199) for m in (1, 7, 30, 200)] + [(499999, 500000)]
+    triples = [(n, m, X) for (n, m), X in zip(pairs, [1, 2, 100, 10**9] * 6)]
+    assert len(pairs) > 2 * exact.ENGINE_CHUNK
+    assert fraclab.exact_correlations(pairs) == [
+        fraclab.exact_correlation(n, m) for n, m in pairs
+    ]
+    assert fraclab.expected_correlations(triples) == [
+        fraclab.expected_correlation(*triple) for triple in triples
+    ]
 
 
 @given(a=st.integers(1, 10**9), b=st.integers(1, 10**9), k=st.integers(1, 10**9))
@@ -155,7 +241,7 @@ def test_engine_matches_law_past_the_pair_guard(a, b, k):
     p, q = m // g, n // g
     L = n * p
     law = Fraction(1, 4) + Fraction(g * g, 12 * n * m)
-    assert Fraction(exact._sweep_total(L, p, q), 6 * L * p * q) == law
+    assert Fraction(exact._sweep_totals([(L, p, q)])[0], 6 * L * p * q) == law
 
 
 @given(n=st.integers(1, exact.PAIR_SIZE_LIMIT - 1), data=st.data())

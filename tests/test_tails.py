@@ -235,9 +235,32 @@ def test_abel_x_above_one_is_fine(table4):
 
 
 def test_abel_large_numerator_does_not_wrap(table6):
-    # floor(ux) * p reaches 1e19 here, past int64
-    x = Fraction(10**8 + 1, 1000)
-    assert fraclab.abel_identity_check(table6, 999990, 999991, x) < 1e-9
+    # the largest numerator the guard admits: floor(2x) = 999999 and
+    # floor(ux) * p near 5e14, exact in float64
+    assert fraclab.abel_identity_check(table6, 1, 2, Fraction(5 * 10**8 - 1, 1000)) < 1e-9
+    # floor(ux) * p reached 1e19 here, past int64; now past the guard too
+    with pytest.raises(ValueError, match="MAX_FLOOR_UX"):
+        fraclab.abel_identity_check(table6, 999990, 999991, Fraction(10**8 + 1, 1000))
+
+
+@pytest.mark.parametrize(
+    "N, U, x, ok",
+    [
+        (1, 2, Fraction(500000), True),         # floor(U x) = 10^6, at the limit
+        (1, 2, Fraction(1000001, 2), False),    # 10^6 + 1
+        (1, 10**4, Fraction(100), True),        # 10^6 with 99 * 10^4 jumps
+        (1, 10**4, Fraction(100001, 1000), False),
+        # 2 * 10^6 jump points passed the old jump-count guard, and the
+        # check returned 2.53e-9 against its 1e-9 contract
+        (9990, 9991, Fraction(2 * 10**9 + 1, 1000), False),
+    ],
+)
+def test_abel_guard_is_floor_ux(table4, N, U, x, ok):
+    if ok:
+        assert fraclab.abel_identity_check(table4, N, U, x) < 1e-9
+    else:
+        with pytest.raises(ValueError, match="past the limit MAX_FLOOR_UX = 1000000"):
+            fraclab.abel_identity_check(table4, N, U, x)
 
 
 def floor_sum_expansion(table, N, U, p, q):
