@@ -237,12 +237,12 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
         (["sine-series", "--x", "nan"], "--x must be a finite number, got nan"),
         (["sine-series", "--x", "inf"], "--x must be a finite number, got inf"),
         (["sine-series", "--x=-inf"], "--x must be a finite number, got -inf"),
-        (["sine-series", "--x", "1e308"], "--x is too large: 2 pi x overflows, got 1e+308"),
-        (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
         (["tails", "--c", "nan"], "--c must be a positive finite number, got nan"),
         (["tails", "--c", "inf"], "--c must be a positive finite number, got inf"),
         (["tails", "--c", "0"], "--c must be a positive finite number, got 0.0"),
         (["tails", "--c", "-1"], "--c must be a positive finite number, got -1.0"),
+        (["sine-series", "--x", "1e308"], "--x is too large: 2 pi x overflows, got 1e+308"),
+        (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
     ],
 )
 def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
