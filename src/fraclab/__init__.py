@@ -21,16 +21,13 @@ from .arithmetic import (
     squarefree_zeta2_partial,
 )
 from .exact import (
-    CorrelationValue,
     correlation_closed_form,
     exact_correlation,
-    exact_correlations,
     expected_correlation,
     expected_correlations,
 )
 from .series import (
     DOUBLE_SUM_LIMIT,
-    SeriesPoint,
     correlation_double_sum,
     correlation_double_sum_fast,
     correlation_double_sum_sweep,
@@ -60,14 +57,11 @@ __all__ = [
     "save_cache",
     "squarefree_count",
     "squarefree_zeta2_partial",
-    "CorrelationValue",
     "correlation_closed_form",
     "exact_correlation",
-    "exact_correlations",
     "expected_correlation",
     "expected_correlations",
     "DOUBLE_SUM_LIMIT",
-    "SeriesPoint",
     "correlation_double_sum",
     "correlation_double_sum_fast",
     "correlation_double_sum_sweep",

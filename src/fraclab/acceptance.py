@@ -70,9 +70,9 @@ def correlation_quadrature(n: int, m: int) -> float:
 def _c1_diagonal_exact(table: MoebiusTable) -> Tuple[bool, str]:
     third = Fraction(1, 3)
     triples = [(n, n, X) for n in range(1, 1001) for X in (1, 7, 100)]
-    for cv in exact.expected_correlations(triples):
-        if cv.value != third:
-            return False, f"E_{cv.X}({{{cv.n}x}}^2) = {cv.value} != 1/3"
+    for (n, _, X), value in zip(triples, exact.expected_correlations(triples)):
+        if value != third:
+            return False, f"E_{X}({{{n}x}}^2) = {value} != 1/3"
     return True, f"{len(triples)} diagonal averages all exactly 1/3"
 
 
@@ -103,9 +103,9 @@ def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
 
 def _c3_double_sum_convergence(table: MoebiusTable) -> Tuple[bool, str]:
     sweep = series.correlation_double_sum_sweep(table, 2000)
-    e100, e2000 = sweep[99].abs_error, sweep[1999].abs_error
+    e100, e2000 = (abs(sweep[N - 1] - series.DOUBLE_SUM_LIMIT) for N in (100, 2000))
     # the rate: N (S(N) + 9/(2 pi^2)) stays in [0.2, 0.3] for N = 100..2000
-    rates = [p.N * (float(p.value) - series.DOUBLE_SUM_LIMIT) for p in sweep[99:]]
+    rates = [N * (v - series.DOUBLE_SUM_LIMIT) for N, v in enumerate(sweep[99:], 100)]
     low, high = min(rates), max(rates)
     ok = e100 < 0.05 and e2000 < 0.01 and 0.2 <= low and high <= 0.3
     return ok, (
@@ -117,14 +117,14 @@ def _c3_double_sum_convergence(table: MoebiusTable) -> Tuple[bool, str]:
 def _c4_fast_direct_equivalence(table: MoebiusTable) -> Tuple[bool, str]:
     direct = series.correlation_double_sum_sweep(table, 300, fast=False, exact=True)
     fast = series.correlation_double_sum_sweep(table, 300, fast=True, exact=True)
-    for pd, pf in zip(direct, fast):
-        if pd.value != pf.value:
-            return False, f"routes disagree at N={pd.N}: {pd.value} != {pf.value}"
+    for N, (vd, vf) in enumerate(zip(direct, fast), 1):
+        if vd != vf:
+            return False, f"routes disagree at N={N}: {vd} != {vf}"
     return True, "exact rational equality of both routes for all N <= 300"
 
 
 def _c5_zeta_ratio(table: MoebiusTable) -> Tuple[bool, str]:
-    value = float(arithmetic.squarefree_zeta2_partial(table, 10**4))
+    value = arithmetic.squarefree_zeta2_partial(table, 10**4)
     gap = abs(value - 15.0 / math.pi**2)
     return gap < 2e-4, f"|sum mu^2/n^2 - 15/pi^2| = {gap:.3e} at N=10^4 (<2e-4)"
 

@@ -1,4 +1,4 @@
-"""Sieved Moebius/Mertens tables and the exact partial sums built on them.
+"""Sieved Moebius/Mertens tables and the partial sums built on them.
 
 Strided numpy passes over the primes p <= isqrt(limit) produce, for all
 1 <= n <= limit:
@@ -20,12 +20,12 @@ build them to any size, for the gcd-grouped double-sum sweep, and
 A table is frozen and its arrays are read-only, so it is safe to share
 across threads; every function here is a pure read of the arrays.
 
-Exact rational partial sums (``moebius_harmonic``,
-``squarefree_zeta2_partial``) are returned as ``Fraction`` up to
-N = EXACT_SUM_LIMIT = 10**4 and as compensated floats beyond; the two
-paths agree to 1e-12 where they overlap.  The exact path accumulates
-integer numerators over a common denominator lcm(1..N) (or its square)
-so only one gcd normalization happens per call.
+The partial sums P(N) = sum mu(n)/n (``moebius_harmonic``) and
+sum mu(n)^2/n^2 (``squarefree_zeta2_partial``) are floats: ``math.fsum``
+of the float64 terms, correctly rounded.  Their exact values are needed
+only inside the exact gcd-grouped double-sum sweep
+(``series.correlation_double_sum_sweep``), which accumulates them as
+Fractions itself.
 
 ``_range_fsums`` gives the correctly rounded sums of a term sequence over
 many prefixes or suffixes in one pass, bit for bit what ``math.fsum``
@@ -41,17 +41,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 #: hard ceiling on sieve size; beyond this the arrays get into the
 #: multi-gigabyte range and a request is more likely a bug than intent
 MAX_LIMIT = 10**8
-
-#: crossover between exact-Fraction and compensated-float accumulation
-EXACT_SUM_LIMIT = 10**4
 
 CACHE_MAGIC = b"MUV1"
 
@@ -214,42 +210,19 @@ def squarefree_count(table: MoebiusTable, N: int) -> int:
     return int(np.count_nonzero(table.squarefree[1 : N + 1]))
 
 
-def moebius_harmonic(
-    table: MoebiusTable, N: int, exact: Optional[bool] = None
-) -> Union[Fraction, float]:
-    """P(N) = sum_{n <= N} mu(n)/n.
-
-    Exact Fraction for N <= EXACT_SUM_LIMIT, compensated float beyond
-    (lcm(1..N) has ~0.43*N digits, so exact accumulation past 10^4 is
-    not worth the bigint cost).  Pass ``exact`` to force a path.
-    """
+def moebius_harmonic(table: MoebiusTable, N: int) -> float:
+    """P(N) = sum_{n <= N} mu(n)/n, the correctly rounded ``math.fsum``
+    of its float64 terms."""
     table._check_index(N)
-    if exact is None:
-        exact = N <= EXACT_SUM_LIMIT
-    if exact:
-        L = math.lcm(*range(1, N + 1))
-        num = sum(int(table.mu[n]) * (L // n) for n in range(1, N + 1))
-        return Fraction(num, L)
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.mu[1 : N + 1].astype(np.float64) / n
     return math.fsum(terms.tolist())
 
 
-def squarefree_zeta2_partial(
-    table: MoebiusTable, N: int, exact: Optional[bool] = None
-) -> Union[Fraction, float]:
-    """sum_{n <= N} mu(n)^2 / n^2, tending to 15/pi^2.
-
-    Same exact/float crossover as ``moebius_harmonic``; the exact path
-    uses the common denominator lcm(1..N)^2.
-    """
+def squarefree_zeta2_partial(table: MoebiusTable, N: int) -> float:
+    """sum_{n <= N} mu(n)^2 / n^2, tending to 15/pi^2; the correctly
+    rounded ``math.fsum`` of its float64 terms."""
     table._check_index(N)
-    if exact is None:
-        exact = N <= EXACT_SUM_LIMIT
-    if exact:
-        Q = math.lcm(*range(1, N + 1)) ** 2
-        num = sum(Q // (n * n) for n in range(1, N + 1) if table.mu[n] != 0)
-        return Fraction(num, Q)
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = table.squarefree[1 : N + 1].astype(np.float64) / (n * n)
     return math.fsum(terms.tolist())

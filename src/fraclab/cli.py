@@ -12,9 +12,9 @@ its own results failed; a bug, not bad input).  CSV output is
 deterministic: a fixed configuration yields byte-identical bytes on
 every run.
 
---limit is the ceiling of the sieve.  sieve, tails and verify read the
-table up to --limit; sine-series, series and figure2 read only to
---n-max, the prefix they use.
+--limit is the ceiling of the sieve.  sieve and tails read the table up
+to --limit; sine-series, series and figure2 read only to --n-max, and
+verify only to the 10^6 its criteria use.
 
 The sieve cache path comes from --cache, falling back to the
 FRACLAB_CACHE environment variable.  With a cache a command reads just
@@ -62,18 +62,16 @@ def _preflight(args: argparse.Namespace, needed: int) -> None:
         )
 
 
-def _get_table(args: argparse.Namespace, needed: int,
-               prefix_only: bool = False) -> MoebiusTable:
-    """The table for a command that reads mu(1..needed).
+def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
+    """The table of mu(1..read) for a command that reads that prefix.
 
-    ``--limit`` is a ceiling, checked by ``_preflight``.  A ``prefix_only``
-    command reads mu(1..needed), any other the table to ``--limit``: from
-    the cache, read only that far, when it reaches it; otherwise sieved,
-    to ``needed`` without a cache path, else to ``--limit`` and saved.
+    ``--limit`` is a ceiling, checked by ``_preflight``.  The prefix comes
+    from the cache, read only that far, when it reaches it; otherwise it
+    is sieved, to ``read`` without a cache path, else to ``--limit`` and
+    saved.
     """
-    _preflight(args, needed)
+    _preflight(args, read)
     limit = args.limit
-    read = needed if prefix_only else limit
     path = args.cache
     if not path:
         return build_tables(read)
@@ -116,7 +114,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sieve(args: argparse.Namespace) -> int:
-    table = _get_table(args, 1)
+    _preflight(args, 1)
+    table = _get_table(args, args.limit)
     lines = [
         f"limit,{table.limit}",
         f"mertens,{arithmetic.mertens(table, table.limit)}",
@@ -127,13 +126,16 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    n, m, X = args.n, args.m, args.x_range
+    for flag, value in (("--n", n), ("--m", m), ("--x-range", X)):
+        _require_positive(flag, value)
     _preflight(args, 1)  # correlations never touch the sieve
     if args.method == "closed-form":
-        cv = exact.closed_form_value(args.n, args.m, args.x_range)
+        value = exact.correlation_closed_form(n, m)
     else:
-        cv = exact.expected_correlation(args.n, args.m, args.x_range)
-    row = (cv.n, cv.m, cv.X, cv.value, rational_string(cv.value), cv.method,
-           math.gcd(args.n, args.m))
+        value = exact.expected_correlation(n, m, X)
+    row = (n, m, X, value, rational_string(value), args.method.replace("-", "_"),
+           math.gcd(n, m))
     _emit(args, figures.csv_text("n,m,X,value,value_exact,method,gcd", [row], args.digits))
     return 0
 
@@ -151,7 +153,7 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
         raise ConfigError(f"--x must be a finite number, got {x}")
     if not math.isfinite(2.0 * math.pi * x):
         raise ConfigError(f"--x is too large: 2 pi x overflows, got {x}")
-    table = _get_table(args, args.n_max, prefix_only=True)
+    table = _get_table(args, args.n_max)
     target = math.sin(2.0 * math.pi * x)
     grid = _n_grid(args.n_max, args.points)
     rows = (
@@ -164,11 +166,11 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
-    table = _get_table(args, args.n_max, prefix_only=True)
-    points = series.correlation_double_sum_sweep(
+    table = _get_table(args, args.n_max)
+    values = series.correlation_double_sum_sweep(
         table, args.n_max, fast=not args.naive, exact=args.exact
     )
-    _emit(args, figures.points_csv(points, args.digits))
+    _emit(args, figures.points_csv(values, args.digits))
     return 0
 
 
@@ -180,7 +182,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 def cmd_figure2(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
-    table = _get_table(args, args.n_max, prefix_only=True)
+    table = _get_table(args, args.n_max)
     _emit(args, figures.figure2_csv(table, args.n_max, not args.naive, args.digits))
     return 0
 
@@ -189,7 +191,8 @@ def cmd_tails(args: argparse.Namespace) -> int:
     cutoffs = _cutoffs(args.cutoffs)
     if not (math.isfinite(args.c) and args.c > 0):
         raise ConfigError(f"--c must be a positive finite number, got {args.c}")
-    table = _get_table(args, max(cutoffs))
+    _preflight(args, max(cutoffs))
+    table = _get_table(args, args.limit)
     report = tails.classical_bound_report(table, cutoffs, args.c)
     rows = zip(report.cutoffs, report.mertens_ratio, report.tail_u2, report.tail_u1,
                report.bound_fit)

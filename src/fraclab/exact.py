@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
@@ -107,32 +106,6 @@ ENGINE_CHUNK = 4096
 
 #: largest entry of a chunk that runs on int64 arrays (module docstring)
 INT64_SIZE = 2**19
-
-METHOD_PIECEWISE = "piecewise"
-METHOD_CLOSED_FORM = "closed_form"
-
-
-@dataclass(frozen=True)
-class CorrelationValue:
-    """A correlation E_X({nx}{mx}) with the route that produced it.
-
-    A value outside the provable [1/4, 1/3] range is an internal fault,
-    not bad input, and raises AssertionError.
-    """
-
-    n: int
-    m: int
-    X: int
-    value: Fraction
-    method: str
-
-    def __post_init__(self):
-        if not Fraction(1, 4) <= self.value <= Fraction(1, 3):
-            raise AssertionError(
-                f"correlation {self.value} for (n={self.n}, m={self.m}) "
-                "outside the provable [1/4, 1/3] range"
-            )
-
 
 def _check_pair(n: int, m: int) -> None:
     if n < 1 or m < 1:
@@ -220,24 +193,16 @@ def _correlation_terms(pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]
     return [(t, 6 * L * p * q) for t, (L, p, q) in zip(totals, lattices)]
 
 
-def exact_correlations(pairs: Iterable[Tuple[int, int]]) -> List[Fraction]:
-    """integral_0^1 {nx}{mx} dx as an exact Fraction for every (n, m);
-    equal, pair for pair, to ``exact_correlation``."""
-    return [Fraction(t, d) for t, d in _correlation_terms(pairs)]
-
-
 def exact_correlation(n: int, m: int) -> Fraction:
     """integral_0^1 {nx}{mx} dx as an exact Fraction.
 
     Denominators reach the scale of lcm(n, m)^2 before reduction, hence
     arbitrary-precision integers throughout.
     """
-    return exact_correlations([(n, m)])[0]
+    return Fraction(*_correlation_terms([(n, m)])[0])
 
 
-def expected_correlations(
-    triples: Iterable[Tuple[int, int, int]]
-) -> List[CorrelationValue]:
+def expected_correlations(triples: Iterable[Tuple[int, int, int]]) -> List[Fraction]:
     """``expected_correlation`` for every (n, m, X), from one engine
     batch that holds the [0, 1] and the [0, X] total of each."""
     checked = []
@@ -253,25 +218,29 @@ def expected_correlations(
     values = []
     for (n, m, X, (L, p, q)), one, full in zip(checked, totals, totals[len(checked):]):
         den = 6 * L * p * q
-        # full / (den X) == one / den, cross-multiplied
+        # full / (den X) == one / den and 1/4 <= one / den <= 1/3, cross-multiplied
         if full != X * one:
             raise AssertionError(
                 f"period-1 identity violated for (n={n}, m={m}, X={X}): "
                 f"{Fraction(full, den * X)} != {Fraction(one, den)}"
             )
-        values.append(CorrelationValue(
-            n=n, m=m, X=X, value=Fraction(one, den), method=METHOD_PIECEWISE
-        ))
+        if not 3 * one <= den <= 4 * one:
+            raise AssertionError(
+                f"correlation {Fraction(one, den)} for (n={n}, m={m}) "
+                "outside the provable [1/4, 1/3] range"
+            )
+        values.append(Fraction(one, den))
     return values
 
 
-def expected_correlation(n: int, m: int, X: int) -> CorrelationValue:
+def expected_correlation(n: int, m: int, X: int) -> Fraction:
     """(1/X) integral_0^X {nx}{mx} dx, exact, for integer X >= 1.
 
     Integer x-periodicity of the integrand makes this equal to
     exact_correlation(n, m); the [0, X] integral is computed on its own
     and the equality verified, not assumed, for every X.  Non-integer X
-    is rejected.  A violated identity raises AssertionError.
+    is rejected.  A violated identity, or a value outside the provable
+    [1/4, 1/3], raises AssertionError.
     """
     return expected_correlations([(n, m, X)])[0]
 
@@ -281,14 +250,4 @@ def correlation_closed_form(n: int, m: int) -> Fraction:
     _check_pair(n, m)
     g = math.gcd(n, m)
     return Fraction(1, 4) + Fraction(g * g, 12 * n * m)
-
-
-def closed_form_value(n: int, m: int, X: int) -> CorrelationValue:
-    """CorrelationValue carrying the closed-form route tag."""
-    if X < 1:
-        raise ValueError(f"X must be >= 1, got {X}")
-    return CorrelationValue(
-        n=n, m=m, X=int(X), value=correlation_closed_form(n, m),
-        method=METHOD_CLOSED_FORM,
-    )
 

@@ -17,7 +17,7 @@ from typing import Iterable, List, Sequence
 from .arithmetic import MoebiusTable
 from .exact import expected_correlations
 from .formatting import format_decimal, rational_string
-from .series import DOUBLE_SUM_LIMIT, SeriesPoint, correlation_double_sum_sweep
+from .series import DOUBLE_SUM_LIMIT, Value, correlation_double_sum_sweep
 
 FIGURE1_M = 6
 FIGURE1_N_MAX = 12
@@ -44,11 +44,11 @@ def figure1_rows() -> List[dict]:
             "n": n,
             "m": FIGURE1_M,
             "X": FIGURE1_X,
-            "value": cv.value,
+            "value": value,
             "gcd": math.gcd(n, FIGURE1_M),
             "relation": _relation(n, FIGURE1_M),
         }
-        for n, cv in zip(ns, values)
+        for n, value in zip(ns, values)
     ]
 
 
@@ -77,15 +77,19 @@ def figure1_csv(digits: int = 15) -> str:
     return csv_text("n,m,X,value,value_exact,gcd,relation", rows, digits)
 
 
-def points_csv(points: Sequence[SeriesPoint], digits: int = 15) -> str:
-    """Series sweep rows: N, X, value, target, abs_error.
+def points_csv(values: Sequence[Value], digits: int = 15) -> str:
+    """Series sweep rows: N, X, value, target, abs_error for the sweep
+    ``values`` = [S(1), S(2), ...].
 
     S(N) does not depend on X, since E_X({nx}{mx}) = C(n, m) for every
     integer X; the X column is always SERIES_X and the target always
     DOUBLE_SUM_LIMIT.
     """
     target = format_decimal(DOUBLE_SUM_LIMIT, digits)
-    rows = ((pt.N, SERIES_X, pt.value, target, pt.abs_error) for pt in points)
+    rows = (
+        (N, SERIES_X, v, target, abs(float(v) - DOUBLE_SUM_LIMIT))
+        for N, v in enumerate(values, 1)
+    )
     return csv_text("N,X,value,target,abs_error", rows, digits)
 
 

@@ -14,10 +14,10 @@ Two families live here, both over a shared MoebiusTable:
   whose partial sums approach DOUBLE_SUM_LIMIT = -9 / (2 pi^2).
 
 S(N) has two routes.  The direct route walks the O(N^2) square-free
-pairs; in exact mode every C(n, m) comes from the piecewise integration
-engine, so no closed form is involved anywhere on that path.  The fast
-route rewrites gcd(n, m)^2 through the Jordan totient divisor identity
-sum_{d | g} J2(d) = g^2:
+pairs; in exact mode every C(n, m) comes from the exact engine
+(``exact._correlation_terms``), so no closed form is involved anywhere
+on that path.  The fast route rewrites gcd(n, m)^2 through the Jordan
+totient divisor identity sum_{d | g} J2(d) = g^2:
 
     S(N) = P(N)^2 / 4 + (1/12) sum_{d<=N} J2(d) A_d(N)^2 - D(N) / 3,
     A_d(N) = sum_{n<=N, d|n} mu(n)/n^2,   P(N) = sum mu(n)/n,
@@ -28,9 +28,10 @@ correlation law, so its exact-mode agreement with the direct route is a
 real consistency check, not bookkeeping.
 
 Each route has one implementation, an incremental sweep over N = 1..n_max
-(``correlation_double_sum_sweep``); the single-N functions
-``correlation_double_sum`` and ``correlation_double_sum_fast`` return the
-last row of a sweep to N.
+(``correlation_double_sum_sweep``) that returns the plain values
+[S(1), ..., S(n_max)]: Fractions in exact mode, floats otherwise.  The
+single-N functions ``correlation_double_sum`` and
+``correlation_double_sum_fast`` return the last value of a sweep to N.
 
 Float results are deterministic run to run.  The float fast sweep keeps
 P, D, A_d and G as integers scaled by FIXED_POINT_SCALE = 2**128 and ends
@@ -83,21 +84,8 @@ MOMENT_PANELS = 10**4
 
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass
-class SeriesPoint:
-    """One truncation S(N) of a double-sum sweep.
-
-    ``abs_error`` is always recomputed from the stored value, never
-    cached.
-    """
-
-    N: int
-    value: Union[float, Fraction]
-
-    @property
-    def abs_error(self) -> float:
-        return abs(float(self.value) - DOUBLE_SUM_LIMIT)
+#: S(N): a Fraction in exact mode, a float otherwise
+Value = Union[float, Fraction]
 
 
 def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
@@ -183,7 +171,7 @@ def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
     return divs
 
 
-def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[SeriesPoint]:
+def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     if exact:
         scale = 1
         term = Fraction
@@ -201,7 +189,7 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[SeriesPoin
     row_den = 12 * scale * scale
     P = D = G = 0
     A = [0] * (n_max + 1)
-    points: List[SeriesPoint] = []
+    values: List[Value] = []
     for n in range(1, n_max + 1):
         if mu[n]:
             nn = n * n
@@ -215,8 +203,8 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[SeriesPoin
             for d in divs:
                 A[d] += delta
             value = (3 * P * P + G - four_scale * D) / row_den
-        points.append(SeriesPoint(N=n, value=value))
-    return points
+        values.append(value)
+    return values
 
 
 def correlation_double_sum_sweep(
@@ -224,8 +212,8 @@ def correlation_double_sum_sweep(
     n_max: int,
     fast: bool = True,
     exact: bool = False,
-) -> List[SeriesPoint]:
-    """S(N) for every N = 1..n_max, computed incrementally.
+) -> List[Value]:
+    """[S(1), ..., S(n_max)], computed incrementally.
 
     Exact modes accumulate Fractions.  Both fast sweeps run one loop:
     each new square-free n updates P, D, G and A_d for every d | n, with
@@ -234,9 +222,8 @@ def correlation_double_sum_sweep(
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
     one row of pairs (n, m < n) per square-free n: exact mode fetches
-    every C(n, m) of every row from the piecewise integration engine in
-    one batch and builds one Fraction per row, capped at
-    n_max <= DIRECT_EXACT_LIMIT
+    every C(n, m) of every row from the exact engine in one batch and
+    builds one Fraction per row, capped at n_max <= DIRECT_EXACT_LIMIT
     because the reduced denominators grow like lcm(1..N)^2; float mode
     uses the closed-form law per pair and re-sums the rows with fsum for
     each point.
@@ -248,7 +235,7 @@ def correlation_double_sum_sweep(
         raise ValueError(
             f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"
         )
-    points: List[SeriesPoint] = []
+    values: List[Value] = []
     sf_flags = table.squarefree
     if exact:
         rows = iter(_direct_exact_rows(table, n_max))
@@ -256,28 +243,24 @@ def correlation_double_sum_sweep(
         for n in range(1, n_max + 1):
             if sf_flags[n]:
                 total += next(rows)
-            points.append(SeriesPoint(N=n, value=total))
-        return points
+            values.append(total)
+        return values
     sf = _squarefree_upto(table, n_max)
     contribs: List[float] = []
     for n in range(1, n_max + 1):
         if sf_flags[n]:
             row = _direct_row_float(table, n, sf[: len(contribs)])
             contribs.append(2.0 * int(table.mu[n]) / n * row)
-        points.append(SeriesPoint(N=n, value=math.fsum(contribs)))
-    return points
+        values.append(math.fsum(contribs))
+    return values
 
 
-def correlation_double_sum(
-    table: MoebiusTable, N: int, exact: bool = False
-) -> SeriesPoint:
+def correlation_double_sum(table: MoebiusTable, N: int, exact: bool = False) -> Value:
     """S(N) by the direct pair loop: the last row of the direct sweep."""
     return correlation_double_sum_sweep(table, N, fast=False, exact=exact)[-1]
 
 
-def correlation_double_sum_fast(
-    table: MoebiusTable, N: int, exact: bool = False
-) -> SeriesPoint:
+def correlation_double_sum_fast(table: MoebiusTable, N: int, exact: bool = False) -> Value:
     """S(N) through the gcd-grouped rearrangement: the last row of the
     fast sweep."""
     return correlation_double_sum_sweep(table, N, fast=True, exact=exact)[-1]
@@ -347,7 +330,7 @@ def residual_moment_report(table: MoebiusTable, N: int) -> ResidualMomentReport:
     expectation = float(np.dot(weights, tilde)) * h / 3.0
     lhs = 0.5 + expectation
     rhs = (
-        math.pi**2 / 3.0 * float(squarefree_zeta2_partial(table, N))
-        + math.pi**2 * float(correlation_double_sum(table, N, exact=False).value)
+        math.pi**2 / 3.0 * squarefree_zeta2_partial(table, N)
+        + math.pi**2 * correlation_double_sum(table, N)
     )
     return ResidualMomentReport(N=N, lhs=lhs, rhs=rhs)

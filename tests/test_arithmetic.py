@@ -198,9 +198,17 @@ def test_squarefree_count_monotone_with_mu_square_steps(table4):
         prev = q
 
 
+def exact_partial_sum(table, N, power):
+    """sum_{n<=N} mu(n)^power / n^power as an exact Fraction, over the
+    common denominator lcm(1..N)^power."""
+    den = math.lcm(*range(1, N + 1)) ** power
+    num = sum(int(table.mu[n]) ** power * (den // n**power) for n in range(1, N + 1))
+    return Fraction(num, den)
+
+
 def test_moebius_harmonic_examples(table4):
-    assert fraclab.moebius_harmonic(table4, 1) == 1
-    assert fraclab.moebius_harmonic(table4, 3) == Fraction(1, 6)
+    assert fraclab.moebius_harmonic(table4, 1) == 1.0
+    assert fraclab.moebius_harmonic(table4, 3) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_moebius_harmonic_small_at_1e5(table6):
@@ -208,23 +216,22 @@ def test_moebius_harmonic_small_at_1e5(table6):
 
 
 def test_harmonic_paths_agree_at_crossover(table6):
-    n = arithmetic.EXACT_SUM_LIMIT
-    exact = fraclab.moebius_harmonic(table6, n, exact=True)
-    compensated = fraclab.moebius_harmonic(table6, n, exact=False)
-    assert isinstance(exact, Fraction)
-    assert abs(float(exact) - compensated) < 1e-12
+    # the float sum against the exact Fraction at N = 10^4
+    compensated = fraclab.moebius_harmonic(table6, 10**4)
+    assert isinstance(compensated, float)
+    assert abs(float(exact_partial_sum(table6, 10**4, 1)) - compensated) < 1e-12
 
 
 def test_zeta2_partial_examples(table4):
-    assert fraclab.squarefree_zeta2_partial(table4, 1) == 1
-    assert fraclab.squarefree_zeta2_partial(table4, 3) == Fraction(49, 36)
+    assert fraclab.squarefree_zeta2_partial(table4, 1) == 1.0
+    assert fraclab.squarefree_zeta2_partial(table4, 3) == pytest.approx(49 / 36, abs=1e-15)
 
 
 def test_zeta2_paths_agree_at_crossover(table6):
-    n = arithmetic.EXACT_SUM_LIMIT
-    exact = fraclab.squarefree_zeta2_partial(table6, n, exact=True)
-    compensated = fraclab.squarefree_zeta2_partial(table6, n, exact=False)
-    assert abs(float(exact) - compensated) < 1e-12
+    # the float sum against the exact Fraction at N = 10^4
+    compensated = fraclab.squarefree_zeta2_partial(table6, 10**4)
+    assert isinstance(compensated, float)
+    assert abs(float(exact_partial_sum(table6, 10**4, 2)) - compensated) < 1e-12
 
 
 def test_jordan2_values(table4):

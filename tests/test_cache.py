@@ -103,6 +103,30 @@ def test_cli_reads_only_the_prefix_it_needs(tmp_path, monkeypatch, capsys, args,
     assert limits == [read]
 
 
+def test_verify_reads_only_the_table_its_criteria_use(tmp_path, monkeypatch, capsys, table6):
+    builds = []
+
+    def recording_build(limit):
+        builds.append(limit)
+        return arithmetic.build_tables(limit)
+
+    monkeypatch.setattr(cli, "build_tables", recording_build)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    args = ["verify", "--only", "5", "--limit", "2000000"]
+    assert cli.main(args) == 0
+    without = capsys.readouterr()
+    assert builds == [10**6]  # REQUIRED_LIMIT, not --limit
+    # a 10^6 cache is enough: no rebuild, no warning, no re-save
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(table6, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(cli, "build_tables", None)
+    assert cli.main(args + ["--cache", str(path)]) == 0
+    assert capsys.readouterr() == without
+    assert without.err == ""
+    assert path.read_bytes() == before
+
+
 def test_cli_uses_cache(tmp_path, capsys):
     path = tmp_path / "sieve.muv"
     assert cli.main(["sieve", "--limit", "2000", "--cache", str(path)]) == 0

@@ -204,7 +204,7 @@ def test_series_rows_correctly_rounded(capsys, table6):
     assert rc == 0
     values = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
     exact = series.correlation_double_sum_sweep(table6, 2000, fast=True, exact=True)
-    assert values == [format_decimal(float(p.value)) for p in exact]
+    assert values == [format_decimal(float(v)) for v in exact]
 
 
 @pytest.mark.parametrize("cutoffs", ["0,10", "", "1000,abc", "1.5"])
@@ -222,6 +222,9 @@ def test_tails_bad_cutoffs_rejected(capsys, cutoffs):
         (["figure2", "--n-max", "0"], "--n-max"),
         (["sine-series", "--x", "0.25", "--n-max", "0"], "--n-max"),
         (["sine-series", "--x", "0.25", "--n-max", "100", "--points", "0"], "--points"),
+        (["correlate", "--n", "0", "--m", "6"], "--n"),
+        (["correlate", "--n", "5", "--m", "-6"], "--m"),
+        (["correlate", "--n", "5", "--m", "6", "--x-range", "0"], "--x-range"),
     ],
 )
 def test_nonpositive_sizes_rejected(capsys, args, flag):

@@ -34,13 +34,13 @@ def test_diagonal_is_one_third(n):
 
 
 def test_expected_correlation_examples():
-    assert fraclab.expected_correlation(1, 2, 1).value == Fraction(7, 24)
-    assert fraclab.expected_correlation(1, 2, 100).value == Fraction(7, 24)
-    assert fraclab.expected_correlation(6, 6, 100).value == THIRD
+    assert fraclab.expected_correlation(1, 2, 1) == Fraction(7, 24)
+    assert fraclab.expected_correlation(1, 2, 100) == Fraction(7, 24)
+    assert fraclab.expected_correlation(6, 6, 100) == THIRD
 
 
 def test_expected_correlation_x_independent():
-    values = {fraclab.expected_correlation(3, 8, X).value for X in (1, 2, 3, 10, 100)}
+    values = {fraclab.expected_correlation(3, 8, X) for X in (1, 2, 3, 10, 100)}
     assert len(values) == 1
 
 
@@ -221,7 +221,7 @@ def test_batch_longer_than_a_chunk(monkeypatch):
     pairs = [(n, m) for n in (1, 5, 6, 12, 199) for m in (1, 7, 30, 200)] + [(499999, 500000)]
     triples = [(n, m, X) for (n, m), X in zip(pairs, [1, 2, 100, 10**9] * 6)]
     assert len(pairs) > 2 * exact.ENGINE_CHUNK
-    assert fraclab.exact_correlations(pairs) == [
+    assert [Fraction(*terms) for terms in exact._correlation_terms(pairs)] == [
         fraclab.exact_correlation(n, m) for n, m in pairs
     ]
     assert fraclab.expected_correlations(triples) == [
@@ -251,13 +251,6 @@ def test_engine_matches_law_over_the_pair_range(n, data):
     assert fraclab.exact_correlation(n, m) == fraclab.correlation_closed_form(n, m)
 
 
-def test_exact_correlations_match_single_calls():
-    pairs = [(5, 6), (6, 5), (7, 7), (1, 200), (12, 6), (499999, 500000)]
-    assert fraclab.exact_correlations(pairs) == [
-        fraclab.exact_correlation(n, m) for n, m in pairs
-    ]
-
-
 @pytest.mark.parametrize(
     "n, m, X",
     [
@@ -270,8 +263,7 @@ def test_exact_correlations_match_single_calls():
     ],
 )
 def test_law_on_large_pairs(n, m, X):
-    cv = fraclab.expected_correlation(n, m, X)
-    assert cv.value == fraclab.correlation_closed_form(n, m)
+    assert fraclab.expected_correlation(n, m, X) == fraclab.correlation_closed_form(n, m)
 
 
 def test_engine_does_not_consult_the_law(monkeypatch):
@@ -280,12 +272,7 @@ def test_engine_does_not_consult_the_law(monkeypatch):
 
     monkeypatch.setattr(exact, "correlation_closed_form", refuse)
     assert fraclab.exact_correlation(5, 6) == Fraction(91, 360)
-    assert fraclab.expected_correlation(12, 6, 100).value == Fraction(7, 24)
-
-
-def test_correlation_value_rejects_out_of_range():
-    with pytest.raises(AssertionError):
-        exact.CorrelationValue(n=1, m=2, X=1, value=Fraction(1, 5), method="piecewise")
+    assert fraclab.expected_correlation(12, 6, 100) == Fraction(7, 24)
 
 
 def test_profile_structure_against_six():

@@ -88,24 +88,24 @@ def test_sine_series_cli_bytes_match_oracle(monkeypatch, capsys, table6):
 
 
 def test_double_sum_empty_and_first_pair(table4):
-    assert fraclab.correlation_double_sum(table4, 1, exact=True).value == 0
-    assert fraclab.correlation_double_sum(table4, 2, exact=True).value == Fraction(-7, 24)
-    assert fraclab.correlation_double_sum_fast(table4, 2, exact=True).value == Fraction(-7, 24)
+    assert fraclab.correlation_double_sum(table4, 1, exact=True) == 0
+    assert fraclab.correlation_double_sum(table4, 2, exact=True) == Fraction(-7, 24)
+    assert fraclab.correlation_double_sum_fast(table4, 2, exact=True) == Fraction(-7, 24)
 
 
 def test_double_sum_routes_agree_exactly(table4):
     direct = fraclab.correlation_double_sum_sweep(table4, 60, fast=False, exact=True)
     fast = fraclab.correlation_double_sum_sweep(table4, 60, fast=True, exact=True)
-    assert [p.value for p in direct] == [p.value for p in fast]
-    spot = fraclab.correlation_double_sum(table4, 60, exact=True).value
-    assert spot == direct[-1].value
-    assert fraclab.correlation_double_sum_fast(table4, 60, exact=True).value == spot
+    assert direct == fast
+    spot = fraclab.correlation_double_sum(table4, 60, exact=True)
+    assert spot == direct[-1]
+    assert fraclab.correlation_double_sum_fast(table4, 60, exact=True) == spot
 
 
 def test_float_fast_sweep_is_correctly_rounded(table4):
     floats = fraclab.correlation_double_sum_sweep(table4, 1000, fast=True, exact=False)
     exact = fraclab.correlation_double_sum_sweep(table4, 1000, fast=True, exact=True)
-    assert [p.value for p in floats] == [float(p.value) for p in exact]
+    assert floats == [float(v) for v in exact]
 
 
 def jordan2_factorint(d):
@@ -137,7 +137,7 @@ def test_exact_sweeps_match_gcd_grouped_oracle(table4):
     expected = [oracle_gcd_grouped(table4, N, j2) for N in range(1, 201)]
     for fast in (True, False):
         sweep = fraclab.correlation_double_sum_sweep(table4, 200, fast=fast, exact=True)
-        assert [p.value for p in sweep] == expected, fast
+        assert sweep == expected, fast
 
 
 def oracle_direct_float_sweep(table, n_max):
@@ -155,7 +155,7 @@ def oracle_direct_float_sweep(table, n_max):
 
 def test_direct_float_sweep_matches_growing_array_oracle(table4):
     sweep = fraclab.correlation_double_sum_sweep(table4, 1500, fast=False)
-    assert bits(p.value for p in sweep) == bits(oracle_direct_float_sweep(table4, 1500))
+    assert bits(sweep) == bits(oracle_direct_float_sweep(table4, 1500))
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -164,11 +164,12 @@ def test_single_n_calls_are_sweep_rows(table4, fast, exact):
     n_max = 120
     single = fraclab.correlation_double_sum_fast if fast else fraclab.correlation_double_sum
     sweep = fraclab.correlation_double_sum_sweep(table4, n_max, fast=fast, exact=exact)
+    assert len(sweep) == n_max
     for N in (1, 2, 97, n_max):
-        point = single(table4, N, exact=exact)
-        assert point.N == N
-        assert type(point.value) is type(sweep[N - 1].value)
-        assert point.value == sweep[N - 1].value
+        value = single(table4, N, exact=exact)
+        assert type(value) is (Fraction if exact else float)
+        assert type(value) is type(sweep[N - 1])
+        assert value == sweep[N - 1]
 
 
 def test_exact_direct_guard(table4):
@@ -180,12 +181,12 @@ def test_float_routes_agree_on_grid(table6):
     sweep = fraclab.correlation_double_sum_sweep(table6, 3000, fast=False, exact=False)
     for N in (100, 300, 1000, 3000):
         fast = fraclab.correlation_double_sum_fast(table6, N)
-        assert abs(sweep[N - 1].value - fast.value) < 1e-12
+        assert abs(sweep[N - 1] - fast) < 1e-12
 
 
 def test_error_envelope_shrinks(table6):
     errs = [
-        fraclab.correlation_double_sum_fast(table6, N).abs_error
+        abs(fraclab.correlation_double_sum_fast(table6, N) - DOUBLE_SUM_LIMIT)
         for N in (10, 100, 2000)
     ]
     assert errs[2] < errs[1] < errs[0]
@@ -194,17 +195,9 @@ def test_error_envelope_shrinks(table6):
 def test_convergence_rate_to_ten_to_the_five(table6):
     # N (S(N) + 9/(2 pi^2)) stays in [0.2, 0.3] well past criterion 3's N = 2000
     sweep = fraclab.correlation_double_sum_sweep(table6, 10**5, fast=True)
-    rates = [p.N * (p.value - DOUBLE_SUM_LIMIT) for p in sweep[99:]]
+    rates = [N * (v - DOUBLE_SUM_LIMIT) for N, v in enumerate(sweep[99:], 100)]
     assert len(rates) == 10**5 - 99
     assert 0.2 <= min(rates) and max(rates) <= 0.3
-
-
-def test_series_point_error_not_stale():
-    pt = fraclab.SeriesPoint(N=5, value=0.0)
-    before = pt.abs_error
-    pt.value = DOUBLE_SUM_LIMIT
-    assert before == abs(DOUBLE_SUM_LIMIT)
-    assert pt.abs_error == 0.0
 
 
 def test_squared_identity_gap(table6):
