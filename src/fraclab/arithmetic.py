@@ -3,13 +3,13 @@
 Strided numpy passes over the primes p <= isqrt(limit) produce, for all
 1 <= n <= limit:
 
-    mu[n]         Moebius function: 0 when a square divides n, otherwise
-                  (-1)**k for n with k distinct prime factors
-    mertens[n]    M(n) = sum_{k <= n} mu(k)
-    squarefree[n] mu[n] != 0
+    mu[n]       Moebius function (int8): 0 when a square divides n,
+                otherwise (-1)**k for n with k distinct prime factors
+    mertens[n]  M(n) = sum_{k <= n} mu(k) (int32: |M(n)| <= n <= MAX_LIMIT)
 
 Conventions fixed here: mu(1) = 1, M(0) = 0.  A table has these fields
-and no others, whether it was sieved or loaded from the cache.
+and no others, whether it was sieved or loaded from the cache; n is
+square-free exactly when mu[n] != 0, so no flag array is kept.
 
 The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
 sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
@@ -54,13 +54,12 @@ CACHE_MAGIC = b"MUV1"
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """Sieve arrays indexed 1..limit (index 0 is unused padding), read-only
-    as ``build_tables`` and ``load_cache`` return them."""
+    """Sieve arrays indexed 1..limit (index 0 is padding), 5 bytes per
+    entry, read-only as ``build_tables`` and ``load_cache`` return them."""
 
     limit: int
-    mu: np.ndarray          # int8
-    mertens: np.ndarray     # int64, mertens[0] = 0
-    squarefree: np.ndarray  # bool
+    mu: np.ndarray       # int8, mu[0] = 0
+    mertens: np.ndarray  # int32, mertens[0] = 0
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -73,13 +72,12 @@ _table_memo: dict[int, MoebiusTable] = {}
 
 
 def _table_from_mu(limit: int, mu: np.ndarray) -> MoebiusTable:
-    """Derive Mertens and the square-free flags from ``mu``; freeze the arrays."""
-    mertens_arr = np.zeros(limit + 1, dtype=np.int64)
-    np.cumsum(mu[1:], dtype=np.int64, out=mertens_arr[1:])
-    table = MoebiusTable(limit=limit, mu=mu, mertens=mertens_arr, squarefree=mu != 0)
-    for arr in (mu, mertens_arr, table.squarefree):
+    """Derive the int32 Mertens array from ``mu`` (mu[0] = 0); freeze both."""
+    mertens_arr = mu.astype(np.int32)
+    np.cumsum(mertens_arr, out=mertens_arr)  # in place: no int32 temporary
+    for arr in (mu, mertens_arr):
         arr.setflags(write=False)
-    return table
+    return MoebiusTable(limit=limit, mu=mu, mertens=mertens_arr)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -113,16 +111,16 @@ def _large_prime_part(limit: int, primes: list[int]) -> np.ndarray:
 
 
 def build_tables(limit: int) -> MoebiusTable:
-    """Sieve mu, M and square-free flags up to ``limit``.
+    """Sieve mu and M up to ``limit``.
 
     Strided numpy passes over the primes p <= isqrt(limit) only: each
-    adds 1 to a local count k(n) of distinct prime factors on the
-    multiples of p and clears the multiples of p^2 from mu, and
-    ``_large_prime_part`` finds the one prime factor above isqrt(limit)
-    that n may have, which adds 1 more.  Then mu(n) = (-1)^k(n) on the
-    square-free n and 0 elsewhere; the count is not kept.  Output is
-    deterministic for a given limit; the arrays are read-only, and the
-    most recent table is memoized.
+    negates mu on the multiples of p and clears the multiples of p^2,
+    and ``_large_prime_part`` finds the one prime factor above
+    isqrt(limit) that n may have, which negates mu(n) once more.  So
+    mu(n) = (-1)^k for n with k distinct prime factors and 0 where a
+    square divides n, with no count array.  Output is deterministic for
+    a given limit; the arrays are read-only, and the most recent table
+    is memoized.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -136,12 +134,10 @@ def build_tables(limit: int) -> MoebiusTable:
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    prime_count = np.zeros(limit + 1, dtype=np.int8)
     for p in primes:
-        prime_count[p::p] += 1
+        mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    prime_count += (_large_prime_part(limit, primes) > 1).view(np.int8)
-    mu *= 1 - 2 * (prime_count & 1)
+    mu *= 1 - 2 * (_large_prime_part(limit, primes) > 1).view(np.int8)
 
     table = _table_from_mu(limit, mu)
     _table_memo[limit] = table
@@ -207,7 +203,7 @@ def mertens(table: MoebiusTable, n: int) -> int:
 def squarefree_count(table: MoebiusTable, N: int) -> int:
     """Q(N) = number of square-free integers <= N (equals sum mu^2)."""
     table._check_index(N)
-    return int(np.count_nonzero(table.squarefree[1 : N + 1]))
+    return int(np.count_nonzero(table.mu[1 : N + 1]))
 
 
 def moebius_harmonic(table: MoebiusTable, N: int) -> float:
@@ -224,13 +220,14 @@ def squarefree_zeta2_partial(table: MoebiusTable, N: int) -> float:
     rounded ``math.fsum`` of its float64 terms."""
     table._check_index(N)
     n = np.arange(1, N + 1, dtype=np.float64)
-    terms = table.squarefree[1 : N + 1].astype(np.float64) / (n * n)
+    terms = (table.mu[1 : N + 1] != 0) / (n * n)
     return math.fsum(terms.tolist())
 
 
-#: terms built per pass of ``_range_fsums``, which bounds its working
-#: memory; at most 2^26, the bin size ``_bin_totals`` sums exactly
-_FSUM_CHUNK = 1 << 16
+#: terms built per pass of ``_range_fsums``; at most 2^26, the bin size
+#: ``_bin_totals`` sums exactly.  At 2^16 each pass faulted in fresh pages
+#: unless a large free had raised malloc's mmap threshold; 2^14 does not
+_FSUM_CHUNK = 1 << 14
 
 #: the low mantissa bits that ``_bin_totals`` splits off each term
 _LOW_BITS = (1 << 26) - 1
@@ -313,7 +310,7 @@ def save_cache(table: MoebiusTable, path) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit))
-            fh.write(table.mu[1:].astype(np.int8).tobytes())
+            fh.write(table.mu[1:])
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -326,12 +323,12 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
     the cache's limit, so a table shorter than ``prefix`` says the cache
     is.
 
-    Only the header and the prefix's bytes are read; the body's length
-    is checked against the file size.  Mertens and square-free flags are
-    recomputed from mu (cheap prefix work), so a loaded table has the
-    same fields as a sieved one.  Raises ValueError on a bad magic, a
-    bad header, a truncated body, or a read value outside {-1, 0, 1},
-    and on a ``prefix`` below 1.
+    Only the header and the prefix's bytes are read, straight into the
+    table's mu array; the body's length is checked against the file
+    size.  Mertens is recomputed from mu (cheap prefix work), so a
+    loaded table has the same fields as a sieved one.  Raises ValueError
+    on a bad magic, a bad header, a truncated body, or a read value
+    outside {-1, 0, 1}, and on a ``prefix`` below 1.
     """
     if prefix is not None and prefix < 1:
         raise ValueError(f"cache prefix must be >= 1, got {prefix}")
@@ -349,9 +346,10 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
             raise ValueError(f"truncated sieve cache body in {path}")
         if prefix is not None:
             limit = min(limit, prefix)
-        body = fh.read(limit)
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    mu[1:] = np.frombuffer(body, dtype=np.int8)
-    if mu[1] != 1 or not np.all((mu >= -1) & (mu <= 1)):
+        mu = np.empty(limit + 1, dtype=np.int8)
+        mu[0] = 0
+        if fh.readinto(mu[1:]) != limit:
+            raise ValueError(f"truncated sieve cache body in {path}")
+    if mu[1] != 1 or mu.min() < -1 or mu.max() > 1:
         raise ValueError(f"sieve cache in {path} holds values outside {{-1,0,1}}")
     return _table_from_mu(int(limit), mu)

@@ -121,7 +121,7 @@ def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
 
 
 def _squarefree_upto(table: MoebiusTable, N: int) -> np.ndarray:
-    return np.nonzero(table.squarefree[1 : N + 1])[0] + 1
+    return np.flatnonzero(table.mu[1 : N + 1]) + 1
 
 
 def _direct_row_float(table: MoebiusTable, n: int, below: np.ndarray) -> float:
@@ -236,21 +236,21 @@ def correlation_double_sum_sweep(
             f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"
         )
     values: List[Value] = []
-    sf_flags = table.squarefree
+    mu = table.mu
     if exact:
         rows = iter(_direct_exact_rows(table, n_max))
         total = Fraction(0)
         for n in range(1, n_max + 1):
-            if sf_flags[n]:
+            if mu[n]:
                 total += next(rows)
             values.append(total)
         return values
     sf = _squarefree_upto(table, n_max)
     contribs: List[float] = []
     for n in range(1, n_max + 1):
-        if sf_flags[n]:
+        if mu[n]:
             row = _direct_row_float(table, n, sf[: len(contribs)])
-            contribs.append(2.0 * int(table.mu[n]) / n * row)
+            contribs.append(2.0 * int(mu[n]) / n * row)
         values.append(math.fsum(contribs))
     return values
 

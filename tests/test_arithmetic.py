@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,16 +266,17 @@ def test_table_arrays_are_read_only(tmp_path):
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(t, path)
     loaded = fraclab.load_cache(path)
-    for arr in (t.mu, t.mertens, t.squarefree, fraclab.build_jordan2(t), loaded.mu,
-                loaded.mertens, loaded.squarefree):
+    for arr in (t.mu, t.mertens, fraclab.build_jordan2(t), loaded.mu, loaded.mertens):
         with pytest.raises(ValueError, match="read-only"):
             arr[1] = 0
+    # the square-free flags are mu != 0: no copy of them is kept to freeze
+    assert np.array_equal(loaded.mu != 0, t.mu != 0)
 
 
 def test_table_shape(tmp_path):
     t = fraclab.build_tables(1000)
     names = [f.name for f in dataclasses.fields(fraclab.MoebiusTable)]
-    assert names == ["limit", "mu", "mertens", "squarefree"]
+    assert names == ["limit", "mu", "mertens"]
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(t, path)
     loaded = fraclab.load_cache(path)
@@ -282,6 +284,11 @@ def test_table_shape(tmp_path):
         ours, theirs = getattr(t, name), getattr(loaded, name)
         assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours), name
     assert loaded.limit == t.limit
+    for table in (t, loaded):
+        assert (table.mu.dtype, table.mertens.dtype) == (np.int8, np.int32)
+        assert table.mu.nbytes + table.mertens.nbytes == 5 * (table.limit + 1)
+        assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
+    assert arithmetic.MAX_LIMIT < 2**31, "int32 Mertens needs |M(n)| <= n < 2^31"
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.mu = loaded.mu
     before = {name: np.copy(getattr(t, name)) for name in names}
@@ -291,6 +298,27 @@ def test_table_shape(tmp_path):
     assert sorted(vars(t)) == sorted(names)
     for name in names:
         assert np.array_equal(getattr(t, name), before[name]), name
+
+
+@pytest.mark.parametrize("source", ["sieve", "cache"])
+def test_table_peak_memory_per_entry(tmp_path, source):
+    # numpy reports its buffers to tracemalloc: the 5 bytes an entry holds
+    # (int8 mu, int32 Mertens) plus the sieve's int32 smooth-part arrays
+    limit = 10**6
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(limit), path)
+    arithmetic._table_memo.clear()
+    tracemalloc.start()
+    try:
+        if source == "sieve":
+            table = fraclab.build_tables(limit)
+        else:
+            table = fraclab.load_cache(path, prefix=limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.limit == limit
+    assert peak <= 10 * limit, f"{peak / limit:.2f} bytes per entry at peak"
 
 
 def test_public_names_resolve():

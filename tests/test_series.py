@@ -145,7 +145,7 @@ def oracle_direct_float_sweep(table, n_max):
     contribs, values = [], []
     below = np.array([], dtype=np.int64)
     for n in range(1, n_max + 1):
-        if table.squarefree[n]:
+        if table.mu[n] != 0:
             row = series._direct_row_float(table, n, below)
             contribs.append(2.0 * int(table.mu[n]) / n * row)
             below = np.append(below, n)

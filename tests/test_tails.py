@@ -90,10 +90,11 @@ def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
 
 
 def test_range_fsums_full_chunks_in_one_binade():
-    # 3 * 2^16 terms with full mantissas in [1, 2): whole chunks share a bin
-    x = 1.0 + np.random.default_rng(5).random(3 * arithmetic._FSUM_CHUNK + 17)
+    # three chunks of terms with full mantissas in [1, 2): whole chunks share a bin
+    c = arithmetic._FSUM_CHUNK
+    x = 1.0 + np.random.default_rng(5).random(3 * c + 17)
     x[::3] *= -1.0
-    bounds = [0, 1, 65535, 65536, 65537, 2 * 65536 + 5, len(x)]
+    bounds = [0, 1, c - 1, c, c + 1, 2 * c + 5, len(x)]
     term = lambda a, b: x[a:b]  # noqa: E731
     assert bits(arithmetic._range_fsums(term, 0, len(x), bounds)) == bits(
         math.fsum(x[:b].tolist()) for b in bounds
