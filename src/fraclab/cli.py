@@ -7,10 +7,11 @@ subcommands.  Every CSV table (a header row, then one line per row)
 is rendered by ``figures.csv_text``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 I/O error, 4 internal error (an identity the engine checks on
-its own results failed; a bug, not bad input).  CSV output is
-deterministic: a fixed configuration yields byte-identical bytes on
-every run.
+error (a ``ConfigError``, raised before any sieve), 3 I/O error, 4
+internal error (an identity checked on the program's own results failed,
+or any ``ValueError`` from the library; a bug, not bad input).  CSV
+output is deterministic: a fixed configuration yields byte-identical
+bytes on every run.
 
 --limit is the ceiling of the sieve.  sieve and tails read the table up
 to --limit; sine-series, series and figure2 read only to --n-max, and
@@ -129,6 +130,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     n, m, X = args.n, args.m, args.x_range
     for flag, value in (("--n", n), ("--m", m), ("--x-range", X)):
         _require_positive(flag, value)
+    if n + m > exact.PAIR_SIZE_LIMIT:
+        raise ConfigError(
+            f"n + m = {n + m} exceeds the pair size limit {exact.PAIR_SIZE_LIMIT}"
+        )
     _preflight(args, 1)  # correlations never touch the sieve
     if args.method == "closed-form":
         value = exact.correlation_closed_form(n, m)
@@ -153,6 +158,11 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
         raise ConfigError(f"--x must be a finite number, got {x}")
     if not math.isfinite(2.0 * math.pi * x):
         raise ConfigError(f"--x is too large: 2 pi x overflows, got {x}")
+    _preflight(args, args.n_max)  # else a huge --n-max overflows in x * n_max
+    if not math.isfinite(x * args.n_max):
+        raise ConfigError(
+            f"x must be finite with x * N finite up to N={args.n_max}, got x={x}"
+        )
     table = _get_table(args, args.n_max)
     target = math.sin(2.0 * math.pi * x)
     grid = _n_grid(args.n_max, args.points)
@@ -166,6 +176,10 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
+    if args.exact and args.naive and args.n_max > series.DIRECT_EXACT_LIMIT:
+        raise ConfigError(
+            f"exact direct sweep capped at N={series.DIRECT_EXACT_LIMIT}, got {args.n_max}"
+        )
     table = _get_table(args, args.n_max)
     values = series.correlation_double_sum_sweep(
         table, args.n_max, fast=not args.naive, exact=args.exact
@@ -211,11 +225,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"{r.number:3d} {status} {r.name}: {r.detail}")
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} criteria passed")
-    report = series.residual_moment_report(table, 100)
+    moment = series.residual_moment_report(table, 100)
     lines.append(
-        "bookkeeping (report only): 1/2 + E(eps~_100) = %.6f vs "
-        "pi^2/3 sum mu^2/n^2 + pi^2 S(100) = %.6f (Simpson sampling gap %.2e)"
-        % (report.lhs, report.rhs, report.gap)
+        "bookkeeping (report only): pi^2 E(s_100^2) = pi^2/3 sum mu^2/n^2 + pi^2 S(100)"
+        " = %.6f (exact rational equality; s_N(x) = sum mu(n)/n {nx})"
+        % (math.pi**2 * float(moment))
     )
     _emit(args, "\n".join(lines) + "\n")
     if passed != len(results):
@@ -321,10 +335,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _require_positive("--digits", args.digits)
         return args.run(args)
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"fraclab: internal error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"fraclab: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

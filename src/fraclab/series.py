@@ -3,10 +3,9 @@
 Two families live here, both over a shared MoebiusTable:
 
 * the sine series  -pi sum_{n<=N} mu(n)/n {nx}  -> sin(2 pi x), with the
-  expansion of its square (``sine_squared_identity_gap``) and the
-  bookkeeping of the squared-equation residual
-  eps~_N(x) = 2 sin(2 pi x) eps_N(x) + eps_N(x)^2, where eps_N(x) is the
-  truncated series minus sin(2 pi x) (``residual_moment_report``);
+  expansion of its square (``sine_squared_identity_gap``) and the exact
+  period average of s_N(x)^2, s_N(x) = sum_{n<=N} mu(n)/n {nx}, checked
+  against D(N)/3 + S(N) (``residual_moment_report``);
 * the off-diagonal correlation double sum
 
       S(N) = sum_{n != m <= N} mu(n) mu(m) / (nm) * C(n, m),
@@ -51,7 +50,6 @@ through ``math.fsum`` (exactly rounded).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import List, Sequence, Union
@@ -63,7 +61,6 @@ from .arithmetic import (
     _jordan2_upto,
     _range_fsums,
     _smallest_prime_factors,
-    squarefree_zeta2_partial,
 )
 from .exact import _correlation_terms
 
@@ -78,9 +75,6 @@ SQUARED_IDENTITY_LIMIT = 500
 
 #: fixed-point scale of the float fast sweep
 FIXED_POINT_SCALE = 2**128
-
-#: Simpson panels over the one period [0, 1] of the residual bookkeeping
-MOMENT_PANELS = 10**4
 
 _TWO_PI = 2.0 * math.pi
 
@@ -292,45 +286,36 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
     return abs(lhs - (diagonal + off_diagonal))
 
 
-@dataclass
-class ResidualMomentReport:
-    """Bookkeeping check: 1/2 + E(eps~_N) vs pi^2/3 sum mu^2/n^2 + pi^2 S(N).
+def residual_moment_report(table: MoebiusTable, N: int) -> Fraction:
+    """E[s_N^2] = integral_0^1 s_N(x)^2 dx, s_N(x) = sum_{n<=N} mu(n)/n {nx},
+    as an exact Fraction.  Squaring s_N term by term gives D(N)/3 + S(N),
+    D(N) = sum mu(n)^2/n^2; a mismatch raises AssertionError, with S(N)
+    from the exact direct route (the floor-sum engine).
 
-    E is the average over the period [0, 1].  The equality is exact; the
-    gap reported here is the Simpson sampling error of E(eps~_N), whose
-    integrand has O(N) jump points.  Report only, nothing asserts on the
-    gap beyond a loose sanity bound.
+    With L the lcm of the square-free n <= N, L s_N(t/L) = M(N) t - C(t),
+    where the integer step function C jumps by mu(n) L/n at each multiple
+    of L/n.  Between consecutive jumps t0 < t1 the integrand is linear,
+    from a to b, so its integral there is (t1 - t0)(a^2 + ab + b^2)/3.
     """
-
-    N: int
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def residual_moment_report(table: MoebiusTable, N: int) -> ResidualMomentReport:
-    """Estimate E(eps~_N) by composite Simpson on MOMENT_PANELS panels of
-    [0, 1] and compare the books."""
     table._check_index(N)
-    panels = MOMENT_PANELS
-    xs = np.linspace(0.0, 1.0, panels + 1)
-    acc = np.zeros_like(xs)
-    for n in _squarefree_upto(table, N):
-        n = int(n)
-        acc += int(table.mu[n]) / n * ((n * xs) % 1.0)
-    eps = -math.pi * acc - np.sin(_TWO_PI * xs)
-    tilde = 2.0 * np.sin(_TWO_PI * xs) * eps + eps * eps
-    weights = np.ones(panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    h = 1.0 / panels
-    expectation = float(np.dot(weights, tilde)) * h / 3.0
-    lhs = 0.5 + expectation
-    rhs = (
-        math.pi**2 / 3.0 * squarefree_zeta2_partial(table, N)
-        + math.pi**2 * correlation_double_sum(table, N)
-    )
-    return ResidualMomentReport(N=N, lhs=lhs, rhs=rhs)
+    sf = _squarefree_upto(table, N).tolist()
+    mu = table.mu[: N + 1].tolist()
+    L = math.lcm(*sf)
+    jumps: dict = {}
+    for n in sf:
+        k = L // n
+        for t in range(k, L + 1, k):
+            jumps[t] = jumps.get(t, 0) + mu[n] * k
+    M = sum(mu)
+    total = t0 = c = 0
+    for t1 in sorted(jumps):
+        a, b = M * t0 - c, M * t1 - c
+        total += (t1 - t0) * (a * a + a * b + b * b)
+        c += jumps[t1]
+        t0 = t1
+    value = Fraction(total, 3 * L**3)
+    books = Fraction(sum((L // n) ** 2 for n in sf), 3 * L * L)
+    books += correlation_double_sum(table, N, exact=True)
+    if value != books:
+        raise AssertionError(f"E[s_N^2] = {value} but D(N)/3 + S(N) = {books} at N={N}")
+    return value

@@ -1,10 +1,12 @@
-"""The names the benchmark harness in ``perfbench/`` looks up in fraclab.
+"""The names and output the benchmark harness in ``perfbench/`` relies on.
 
-``perfbench/runner.py`` wraps fraclab functions by name (``WRAPS``) and
+``perfbench/runner.py`` wraps fraclab functions by name (``WRAPS``),
 ``perfbench/run.py`` times ``build_jordan2(build_tables(...))`` as its
-set-up, so renaming or removing one of them breaks the benchmark.  These
-tests make such a change fail here instead.  The runner is loaded from
-its file and only read; nothing in ``perfbench/`` is changed.
+set-up, and ``perfbench/checks.py`` refuses a ``verify`` output whose
+shape it does not expect, so renaming or removing one of them, or
+reshaping ``verify``'s stdout, breaks the benchmark.  These tests make
+such a change fail here instead.  The runner and the checks are loaded
+from their files and only read; nothing in ``perfbench/`` is changed.
 """
 
 import importlib
@@ -17,21 +19,26 @@ import numpy as np
 import pytest
 
 import fraclab
+from test_cli import VERIFY_STDOUT
 
-RUNNER = Path(__file__).resolve().parents[1] / "perfbench" / "runner.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def runner():
-    spec = importlib.util.spec_from_file_location("perfbench_runner", RUNNER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no __pycache__ next to the runner
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return _load("runner")
 
 
 def test_wrapped_names_resolve(runner):
@@ -54,3 +61,7 @@ def test_sweep_span_reads_fast_and_exact(runner):
 def test_setup_expression_runs():
     j2 = fraclab.build_jordan2(fraclab.build_tables(1000))
     assert isinstance(j2, np.ndarray) and j2.shape == (1001,)
+
+
+def test_pinned_verify_stdout_passes_the_benchmark_check():
+    _load("checks").check_verify(VERIFY_STDOUT)

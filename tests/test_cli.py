@@ -1,6 +1,7 @@
 """Command-line surface: CSV schemas, determinism, exit codes."""
 
 import hashlib
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -111,7 +112,7 @@ VERIFY_STDOUT = """\
  11 PASS figure 1 reproduction and structure: byte-identical golden; E(6)=1/3 global peak, E(12) above the coprime minima {5,7,11}; exact ties on record: E(3)=E(12)=7/24, and E(4)=19/72 < E(2)=5/18 (no repeated-factor uplift)
  12 PASS Mertens tail integral diagnostics: tail(1,10^6) = -1.140e-05 (<0.05), additivity gap 2.63e-19 (<1e-12)
 11/12 criteria passed
-bookkeeping (report only): 1/2 + E(eps~_100) = 0.505100 vs pi^2/3 sum mu^2/n^2 + pi^2 S(100) = 0.505184 (Simpson sampling gap 8.40e-05)
+bookkeeping (report only): pi^2 E(s_100^2) = pi^2/3 sum mu^2/n^2 + pi^2 S(100) = 0.505184 (exact rational equality; s_N(x) = sum mu(n)/n {nx})
 """
 
 #: sha256 of the stdout of ``series --n-max 300 --exact --naive``
@@ -246,6 +247,8 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
         (["tails", "--c", "-1"], "--c must be a positive finite number, got -1.0"),
         (["sine-series", "--x", "1e308"], "--x is too large: 2 pi x overflows, got 1e+308"),
         (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
+        (["sine-series", "--x", "2e307", "--n-max", "10"],
+         "x must be finite with x * N finite up to N=10, got x=2e+307"),
     ],
 )
 def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
@@ -254,6 +257,24 @@ def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
     assert rc == 2
     assert out == ""
     assert err == f"fraclab: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["series", "--n-max", "301", "--exact", "--naive"],
+         "exact direct sweep capped at N=300, got 301"),
+        (["correlate", "--n", "999999", "--m", "2"],
+         "n + m = 1000001 exceeds the pair size limit 1000000"),
+        (["correlate", "--n", "999999", "--m", "2", "--method", "closed-form"],
+         "n + m = 1000001 exceeds the pair size limit 1000000"),
+    ],
+)
+def test_size_caps_rejected_before_work(monkeypatch, capsys, args, message):
+    monkeypatch.setattr(cli, "build_tables", None)  # no sieve before the check
+    monkeypatch.setattr(exact, "_sweep_totals", None)  # nor any engine work
+    rc, out, err = run_cli(args + ["--limit", "1000"], capsys)
+    assert (rc, out, err) == (2, "", f"fraclab: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -326,6 +347,10 @@ def test_invalid_limit_rejected(capsys):
     assert "sieve_limit" in err
 
 
+def _value_error(T, total):
+    raise ValueError("engine fault")
+
+
 @pytest.mark.parametrize(
     "x_range, wrong, message",
     [
@@ -334,8 +359,10 @@ def test_invalid_limit_rejected(capsys):
         ("200000", lambda T, total: total + (T > 30), "period-1 identity violated"),
         # both totals zero: the identity holds and the range check fails
         ("200000", lambda T, total: 0, "outside the provable"),
+        # a ValueError from inside the library is a bug, not bad input
+        ("100", _value_error, "engine fault"),
     ],
-    ids=["period-1", "period-1-large-x", "range"],
+    ids=["period-1", "period-1-large-x", "range", "value-error"],
 )
 def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, message):
     real = exact._sweep_totals
@@ -350,6 +377,18 @@ def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, mes
     assert out == ""
     assert err.startswith("fraclab: internal error: ")
     assert message in err
+
+
+def test_bookkeeping_mismatch_is_internal_error(monkeypatch, capsys):
+    real = series.correlation_double_sum
+    monkeypatch.setattr(
+        series, "correlation_double_sum",
+        lambda table, N, exact=False: real(table, N, exact) + Fraction(1, 10**30),
+    )
+    rc, out, err = run_cli(["verify", "--only", "5"], capsys)
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("fraclab: internal error: E[s_N^2] = ")
 
 
 def test_fast_path_switch_only_on_series_and_figure2(capsys):

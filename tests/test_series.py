@@ -209,7 +209,13 @@ def test_squared_identity_gap(table6):
 
 
 def test_residual_moment_bookkeeping(table4):
-    report = fraclab.residual_moment_report(table4, 100)
-    # equality is exact; the gap is pure Simpson sampling error
-    assert report.gap < 0.05
-    assert report.N == 100
+    # E[s_N^2] over breakpoint intervals is D(N)/3 + S(N) exactly, by both routes
+    direct = fraclab.correlation_double_sum_sweep(table4, 100, fast=False, exact=True)
+    fast = fraclab.correlation_double_sum_sweep(table4, 100, fast=True, exact=True)
+    D = Fraction(0)
+    for N in range(1, 101):
+        D += Fraction(int(table4.mu[N]) ** 2, N * N)
+        moment = fraclab.residual_moment_report(table4, N)
+        assert moment == D / 3 + direct[N - 1] == D / 3 + fast[N - 1]
+    assert moment * math.pi**2 == pytest.approx(0.5051844277730189, rel=1e-15)
+    assert fraclab.residual_moment_report(table4, 1) == Fraction(1, 3)
