@@ -37,10 +37,8 @@ from .series import (
     sine_squared_identity_gap,
 )
 from .tails import (
-    TailReport,
     abel_identity_check,
     classical_bound_report,
-    mertens_ratio_strictly_decreasing,
     tail_integral_u1,
     tail_integral_u2,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "sine_series_partial",
     "sine_series_partials",
     "sine_squared_identity_gap",
-    "TailReport",
     "abel_identity_check",
     "classical_bound_report",
-    "mertens_ratio_strictly_decreasing",
     "tail_integral_u1",
     "tail_integral_u2",
     "__version__",

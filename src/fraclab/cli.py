@@ -3,7 +3,8 @@
 ``_build_parser`` is the one description of the command line: each
 subcommand's parser names its body with ``set_defaults(run=cmd_x)``,
 and ``main`` calls ``args.run(args)``.  ``fraclab --help`` lists the
-subcommands.  Every CSV table (a header row, then one line per row)
+subcommands.  ``figure2`` runs ``cmd_series``: it is ``series`` without
+``--exact``.  Every CSV table (a header row, then one line per row)
 is rendered by ``figures.csv_text``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
@@ -42,6 +43,10 @@ from .formatting import rational_string
 
 DEFAULT_LIMIT = 10**6
 CACHE_ENV_VAR = "FRACLAB_CACHE"
+
+#: largest sine-series --points: the N grid is built in full before its
+#: duplicates go, and it holds at most --n-max distinct N anyway
+MAX_POINTS = 10**6
 
 
 class ConfigError(Exception):
@@ -153,6 +158,8 @@ def _n_grid(n_max: int, points: int) -> List[int]:
 def cmd_sine_series(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
     _require_positive("--points", args.points)
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"--points must be <= {MAX_POINTS}, got {args.points}")
     x = args.x
     if not math.isfinite(x):
         raise ConfigError(f"--x must be a finite number, got {x}")
@@ -194,22 +201,13 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure2(args: argparse.Namespace) -> int:
-    _require_positive("--n-max", args.n_max)
-    table = _get_table(args, args.n_max)
-    _emit(args, figures.figure2_csv(table, args.n_max, not args.naive, args.digits))
-    return 0
-
-
 def cmd_tails(args: argparse.Namespace) -> int:
     cutoffs = _cutoffs(args.cutoffs)
     if not (math.isfinite(args.c) and args.c > 0):
         raise ConfigError(f"--c must be a positive finite number, got {args.c}")
     _preflight(args, max(cutoffs))
     table = _get_table(args, args.limit)
-    report = tails.classical_bound_report(table, cutoffs, args.c)
-    rows = zip(report.cutoffs, report.mertens_ratio, report.tail_u2, report.tail_u1,
-               report.bound_fit)
+    rows = tails.classical_bound_report(table, cutoffs, args.c)
     _emit(args, figures.csv_text("N,mertens_ratio,tail_u2,tail_u1,bound_fit", rows,
                                  args.digits))
     return 0
@@ -290,8 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("figure1", cmd_figure1, "correlation profile n=1..12 against m=6 at X=100")
 
-    p = add("figure2", cmd_figure2, "double-series partial sums against the limit")
+    p = add("figure2", cmd_series, "double-series partial sums against the limit")
     p.add_argument("--n-max", type=int, default=100)
+    p.set_defaults(exact=False)
     add_naive(p)
 
     p = add("tails", cmd_tails, "Mertens tail report")

@@ -9,8 +9,9 @@ M(u)/u^2 and M(u)/u over [N, U] are finite sums over unit steps:
 Each sum is the correctly rounded value of its float64 terms, the one
 math.fsum over the term list gives, found in one pass: the terms are
 built in chunks and reduced to exact per-exponent bin totals
-(``arithmetic._range_fsums``), so ``classical_bound_report`` sums every
-cutoff's tail in one suffix pass per column.
+(``arithmetic._range_fsums``).  ``classical_bound_report`` returns the
+rows the ``tails`` command prints, one plain tuple per cutoff, and sums
+every cutoff's tail in one suffix pass per column.
 
 ``abel_identity_check`` verifies the summation-by-parts expansion of
 sum_{N<n<=U} mu(n)/n {nx} at finite range.  With f(u) = {ux}/u taken
@@ -48,7 +49,6 @@ which also caps the jump points in (N, U] at 10^6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import List, Sequence, Tuple
@@ -63,25 +63,6 @@ MAX_X_DENOMINATOR = 1000
 #: largest floor(U x) accepted: past it the rounding of the step
 #: integral can reach the 1e-9 contract (module docstring)
 MAX_FLOOR_UX = 10**6
-
-
-@dataclass
-class TailReport:
-    """Mertens ratios and truncated tail integrals over a cutoff grid."""
-
-    cutoffs: List[int]
-    mertens_ratio: List[float]
-    tail_u2: List[float]
-    tail_u1: List[float]
-    bound_fit: List[float]
-
-    def __post_init__(self):
-        k = len(self.cutoffs)
-        if any(len(v) != k for v in (self.mertens_ratio, self.tail_u2,
-                                     self.tail_u1, self.bound_fit)):
-            raise ValueError("tail report columns must align with cutoffs")
-        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
-            raise ValueError(f"cutoffs must be strictly increasing, got {self.cutoffs}")
 
 
 def _check_range(table: MoebiusTable, N: int, U: int) -> None:
@@ -206,17 +187,29 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     return abs(lhs - rhs)
 
 
+def _bound_fit(m: int, N: int, c: float) -> float:
+    """|m| e^{c sqrt(log N)} / N: exactly 0 when m = 0 (not 0 * inf =
+    nan), inf when the exponential passes the float range."""
+    if m == 0:
+        return 0.0
+    try:
+        return abs(m) * math.exp(c * math.sqrt(math.log(N))) / N
+    except OverflowError:
+        return math.inf
+
+
 def classical_bound_report(
     table: MoebiusTable, cutoffs: Sequence[int], c: float = 1.0
-) -> TailReport:
-    """Mertens ratios, truncated tails to the table limit, and the
-    informational |M(N)| e^{c sqrt(log N)} / N fit.
+) -> List[Tuple[int, float, float, float, float]]:
+    """The rows (N, M(N)/N, tail_u2, tail_u1, bound_fit), one per cutoff:
+    the Mertens ratio, the truncated tails to the table limit, and the
+    informational fit |M(N)| e^{c sqrt(log N)} / N.
 
     The fit column is diagnostic only; no bound is asserted on it.  The
     exponent constant c is not pinned by theory at desk scale, so it is
     a parameter with default 1.  The cutoffs must strictly increase
     within 1..limit (IndexError when out of range, ValueError when out of
-    order), checked before anything is summed.
+    order); they are validated once, before anything is summed.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -225,22 +218,10 @@ def classical_bound_report(
         table._check_index(N)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
-    ratios, fit = [], []
-    for N in cuts:
-        m = int(table.mertens[N])
-        ratios.append(m / N)
-        fit.append(abs(m) * math.exp(c * math.sqrt(math.log(N))) / N)
     # every tail runs to the table limit: one suffix pass per column, and
     # a cutoff at the limit gets the empty sum 0.0
     start = cuts[0] if cuts else table.limit
     u2 = _range_fsums(partial(_u2_terms, table), start, table.limit, cuts, suffix=True)
     u1 = _range_fsums(partial(_u1_terms, table), start, table.limit, cuts, suffix=True)
-    return TailReport(
-        cutoffs=cuts, mertens_ratio=ratios, tail_u2=u2, tail_u1=u1, bound_fit=fit
-    )
-
-
-def mertens_ratio_strictly_decreasing(report: TailReport) -> bool:
-    """Whether |M(N)|/N strictly decreases along the report's cutoffs."""
-    mags = [abs(r) for r in report.mertens_ratio]
-    return all(b < a for a, b in zip(mags, mags[1:]))
+    ms = [int(table.mertens[N]) for N in cuts]
+    return [(N, m / N, a, b, _bound_fit(m, N, c)) for N, m, a, b in zip(cuts, ms, u2, u1)]

@@ -249,6 +249,10 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
         (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
         (["sine-series", "--x", "2e307", "--n-max", "10"],
          "x must be finite with x * N finite up to N=10, got x=2e+307"),
+        (["sine-series", "--x", "0.3", "--n-max", "10", "--points", "1000001"],
+         "--points must be <= 1000000, got 1000001"),
+        (["sine-series", "--x", "0.3", "--n-max", "10", "--points", "100000000000"],
+         "--points must be <= 1000000, got 100000000000"),
     ],
 )
 def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):

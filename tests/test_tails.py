@@ -31,20 +31,17 @@ def oracle_tail_u1(table, N, U):
 
 
 def oracle_report(table, cutoffs, c=1.0):
-    ratios, u2, u1, fit = [], [], [], []
+    rows = []
     for N in cutoffs:
         m = int(table.mertens[N])
-        ratios.append(m / N)
         if N < table.limit:
-            u2.append(oracle_tail_u2(table, N, table.limit))
-            u1.append(oracle_tail_u1(table, N, table.limit))
+            u2 = oracle_tail_u2(table, N, table.limit)
+            u1 = oracle_tail_u1(table, N, table.limit)
         else:
-            u2.append(0.0)
-            u1.append(0.0)
-        fit.append(abs(m) * math.exp(c * math.sqrt(math.log(N))) / N)
-    return tails.TailReport(
-        cutoffs=list(cutoffs), mertens_ratio=ratios, tail_u2=u2, tail_u1=u1, bound_fit=fit
-    )
+            u2 = u1 = 0.0
+        fit = abs(m) * math.exp(c * math.sqrt(math.log(N))) / N
+        rows.append((N, m / N, u2, u1, fit))
+    return rows
 
 
 def bits(values):
@@ -140,8 +137,10 @@ def test_tail_integrals_match_oracle(table6):
 def test_classical_bound_report_matches_oracle(table6, cutoffs, c):
     got = fraclab.classical_bound_report(table6, cutoffs, c)
     want = oracle_report(table6, cutoffs, c)
-    for column in ("mertens_ratio", "tail_u2", "tail_u1", "bound_fit"):
-        assert bits(getattr(got, column)) == bits(getattr(want, column)), column
+    assert len(got) == len(want)
+    columns = ("N", "mertens_ratio", "tail_u2", "tail_u1", "bound_fit")
+    for column, g, w in zip(columns, zip(*got), zip(*want)):
+        assert bits(g) == bits(w), column
 
 
 def test_tails_cli_bytes_match_oracle(monkeypatch, capsys, table6):
@@ -151,6 +150,29 @@ def test_tails_cli_bytes_match_oracle(monkeypatch, capsys, table6):
     monkeypatch.setattr(tails, "classical_bound_report", oracle_report)
     assert cli.main(args) == 0
     assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "c, cutoffs, limit, fits",
+    [
+        # e^{800 sqrt(log 1000)} passes the float range
+        ("800", "1000", "1000", ["inf"]),
+        # M(2) = 0 prints 0, not 0 * inf = nan
+        ("1e308", "2,3", "10", ["0", "inf"]),
+    ],
+)
+def test_tails_bound_fit_past_the_float_range(capsys, c, cutoffs, limit, fits):
+    args = ["tails", "--cutoffs", cutoffs, "--limit", limit]
+    assert cli.main(args + ["--c", c]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == fits
+    # the other columns do not depend on c
+    assert cli.main(args) == 0
+    assert [row[:-1] for row in rows] == [
+        line.split(",")[:-1] for line in capsys.readouterr().out.splitlines()[1:]
+    ]
 
 
 def test_u2_single_steps(table4):
@@ -295,18 +317,19 @@ def test_floor_sum_identity(table4):
 
 def test_classical_bound_report(table6):
     cutoffs = [10**3, 10**4, 10**5, 10**6]
-    report = fraclab.classical_bound_report(table6, cutoffs)
-    assert report.cutoffs == cutoffs
-    assert report.mertens_ratio == [
-        2e-3, -23e-4, -48e-5, 212e-6,
-    ]
-    assert all(f > 0 for f in report.bound_fit)
-    assert report.tail_u2[-1] == 0.0 and report.tail_u1[-1] == 0.0
+    Ns, ratios, tail_u2, tail_u1, bound_fit = zip(
+        *fraclab.classical_bound_report(table6, cutoffs)
+    )
+    assert list(Ns) == cutoffs
+    assert list(ratios) == [2e-3, -23e-4, -48e-5, 212e-6]
+    assert all(f > 0 for f in bound_fit)
+    assert tail_u2[-1] == 0.0 and tail_u1[-1] == 0.0
     # |M(N)|/N at desk scale
-    assert abs(report.mertens_ratio[0]) <= 1e-2
-    assert abs(report.mertens_ratio[-1]) < 1e-3
+    assert abs(ratios[0]) <= 1e-2
+    assert abs(ratios[-1]) < 1e-3
     # the true ratios are not monotone: 0.002 rises to 0.0023
-    assert fraclab.mertens_ratio_strictly_decreasing(report) is False
+    mags = [abs(r) for r in ratios]
+    assert not all(b < a for a, b in zip(mags, mags[1:]))
 
 
 def test_report_validation(table4):
