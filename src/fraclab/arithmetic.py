@@ -1,7 +1,6 @@
 """Sieved Moebius/Mertens tables and the partial sums built on them.
 
-Strided numpy passes over the primes p <= isqrt(limit) produce, for all
-1 <= n <= limit:
+A segmented sieve produces, for all 1 <= n <= limit:
 
     mu[n]       Moebius function (int8): 0 when a square divides n,
                 otherwise (-1)**k for n with k distinct prime factors
@@ -10,6 +9,11 @@ Strided numpy passes over the primes p <= isqrt(limit) produce, for all
 Conventions fixed here: mu(1) = 1, M(0) = 0.  A table has these fields
 and no others, whether it was sieved or loaded from the cache; n is
 square-free exactly when mu[n] != 0, so no flag array is kept.
+
+The sieve runs over 1..limit in blocks of ``_SIEVE_BLOCK`` entries, with
+the primes p <= isqrt(limit) carried from block to block (Bays & Hudson,
+"The segmented sieve of Eratosthenes", BIT 17, 1977), so building a
+table peaks at its own 5 bytes per entry plus one block's scratch.
 
 The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
 sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
@@ -41,7 +45,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,38 +93,60 @@ def _primes_upto(n: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
-def _large_prime_part(limit: int, primes: list[int]) -> np.ndarray:
-    """int32 array whose n-th entry is the prime factor of n above
-    isqrt(limit), or 1 when n has none.
+#: entries sieved per block.  Every block makes a few numpy calls per
+#: prime p <= isqrt(limit), so the Python cost grows with the number of
+#: blocks; the scratch (int32 radical and index arrays for mu, int64 and
+#: int32 arrays for J2) grows with the block.  At 2^18 a 10^7 sieve's
+#: peak RSS stays below that of the commands that read a 10^7 cache; at
+#: 2^20 it did not
+_SIEVE_BLOCK = 1 << 18
 
-    ``primes`` are the primes up to isqrt(limit).  Multiplying p into
-    every multiple of each power p^k builds the isqrt(limit)-smooth part
-    s(n) of n; it divides n <= MAX_LIMIT, so int32 holds it.  Two primes
-    above isqrt(limit) would multiply to more than limit, so n / s(n) is
-    1 or a single prime.
+
+def _blocks(limit: int) -> Iterator[tuple[int, int]]:
+    """The half-open blocks [lo, hi) of at most ``_SIEVE_BLOCK`` indices
+    that cover 1..limit, in order.  Index 0 belongs to no block, so no
+    stride of a prime touches it: its int32 radical would wrap."""
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        yield lo, min(lo + _SIEVE_BLOCK, limit + 1)
+
+
+def _large_prime_part(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """int32 array whose i-th entry is the prime factor of n = lo + i above
+    the largest of ``primes``, or 1 when n has none, for lo <= n < hi.
+
+    ``primes`` are the primes up to isqrt(limit), for some limit >= hi - 1,
+    and lo >= 1.  Multiplying p into the block's multiples of each power
+    p^k < hi builds the isqrt(limit)-smooth part s(n) of n; it divides
+    n <= MAX_LIMIT, so int32 holds it.  Two primes above isqrt(limit)
+    would multiply to more than limit, so n / s(n) is 1 or a single prime.
+    Unlike the radical that ``build_tables`` uses, s(n) covers every
+    prime power, so the quotient is right for n that are not square-free
+    too, as J2 needs.
     """
-    smooth = np.ones(limit + 1, dtype=np.int32)
+    smooth = np.ones(hi - lo, dtype=np.int32)
     for p in primes:
         q = p
-        while q <= limit:
-            smooth[q::q] *= p
+        while q < hi:
+            smooth[-lo % q :: q] *= p
             q *= p
-    rest = np.arange(limit + 1, dtype=np.int32)
+    rest = np.arange(lo, hi, dtype=np.int32)
     rest //= smooth
     return rest
 
 
 def build_tables(limit: int) -> MoebiusTable:
-    """Sieve mu and M up to ``limit``.
+    """Sieve mu and M up to ``limit``, one block (``_blocks``) at a time.
 
-    Strided numpy passes over the primes p <= isqrt(limit) only: each
-    negates mu on the multiples of p and clears the multiples of p^2,
-    and ``_large_prime_part`` finds the one prime factor above
-    isqrt(limit) that n may have, which negates mu(n) once more.  So
-    mu(n) = (-1)^k for n with k distinct prime factors and 0 where a
-    square divides n, with no count array.  Output is deterministic for
-    a given limit; the arrays are read-only, and the most recent table
-    is memoized.
+    In a block, each prime p <= isqrt(limit) negates mu on its multiples,
+    clears mu on the multiples of p^2, and multiplies p into an int32
+    radical array (radical(n) divides n <= MAX_LIMIT < 2^31).  A
+    square-free n has n // radical(n) equal to 1 or to its one prime
+    factor above isqrt(limit), which negates mu(n) once more; as
+    radical(n) divides n, that factor exists exactly when radical(n) < n,
+    so no division is needed.  Where a square divides n, mu(n) is already
+    0.  The peak is the 5-byte-per-entry table plus one block's scratch.
+    Output is deterministic for a given limit; the arrays are read-only,
+    and the most recent table is memoized.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -134,10 +160,17 @@ def build_tables(limit: int) -> MoebiusTable:
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    mu *= 1 - 2 * (_large_prime_part(limit, primes) > 1).view(np.int8)
+    for lo, hi in _blocks(limit):
+        block = mu[lo:hi]
+        radical = np.ones(hi - lo, dtype=np.int32)
+        for p in primes:
+            first = -lo % p
+            block[first::p] *= -1
+            radical[first::p] *= p
+            pp = p * p
+            block[-lo % pp :: pp] = 0
+        large = radical < np.arange(lo, hi, dtype=np.int32)
+        block *= 1 - 2 * large.view(np.int8)
 
     table = _table_from_mu(limit, mu)
     _table_memo[limit] = table
@@ -147,26 +180,30 @@ def build_tables(limit: int) -> MoebiusTable:
 def _jordan2_upto(n: int) -> np.ndarray:
     """Read-only int64 array of J2(d) for d = 0..n (J2(0) = 0).
 
-    J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively: start
-    from d^2 and, for each prime p <= isqrt(n), replace a factor p^2
-    with p^2 - 1; then the same for the one prime q above isqrt(n) that
-    d may have.  The running value stays divisible by p^2 at each
-    division step, so integer arithmetic is exact.
+    J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively, block
+    by block (``_blocks``): start from d^2 and, for each prime
+    p <= isqrt(n), replace a factor p^2 with p^2 - 1; then the same for
+    the one prime q above isqrt(n) that d may have
+    (``_large_prime_part``).  The running value stays divisible by p^2 at
+    each division step, so integer arithmetic is exact.
     """
     primes = _primes_upto(math.isqrt(n))
-    j2 = np.arange(n + 1, dtype=np.int64)
-    j2 *= j2
-    for p in primes:
-        pp = p * p
-        multiples = j2[p::p]
-        multiples //= pp
-        multiples *= pp - 1
-    qq = _large_prime_part(n, primes).astype(np.int64)
-    qq[0] = 1  # 0 has no prime part; j2[0] stays 0
-    qq *= qq
-    j2 //= qq
-    qq -= qq > 1  # q^2 - 1 for a large prime q; 1 when there is none
-    j2 *= qq
+    j2 = np.empty(n + 1, dtype=np.int64)
+    j2[0] = 0
+    for lo, hi in _blocks(n):
+        block = j2[lo:hi]
+        d = np.arange(lo, hi, dtype=np.int64)
+        np.multiply(d, d, out=block)
+        for p in primes:
+            pp = p * p
+            multiples = block[-lo % p :: p]
+            multiples //= pp
+            multiples *= pp - 1
+        qq = _large_prime_part(lo, hi, primes).astype(np.int64)
+        qq *= qq
+        block //= qq
+        qq -= qq > 1  # q^2 - 1 for a large prime q; 1 when there is none
+        block *= qq
     j2.setflags(write=False)
     return j2
 
@@ -301,7 +338,8 @@ def _range_fsums(
 
 def save_cache(table: MoebiusTable, path) -> None:
     """Write the binary sieve cache: b"MUV1", little-endian uint64 limit,
-    then mu(1..limit) as signed bytes.
+    then mu(1..limit) as signed bytes: exactly 12 + limit bytes, the size
+    ``load_cache`` requires.
 
     The bytes go to ``<path>.tmp-<pid>`` in the same directory, which
     then replaces ``path``, so a failed write leaves the old cache whole.
@@ -324,10 +362,11 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
     is.
 
     Only the header and the prefix's bytes are read, straight into the
-    table's mu array; the body's length is checked against the file
-    size.  Mertens is recomputed from mu (cheap prefix work), so a
-    loaded table has the same fields as a sieved one.  Raises ValueError
-    on a bad magic, a bad header, a truncated body, or a read value
+    table's mu array; the file size must be exactly the 12 header bytes
+    plus the ``limit`` body bytes ``save_cache`` writes.  Mertens is
+    recomputed from mu (cheap prefix work), so a loaded table has the
+    same fields as a sieved one.  Raises ValueError on a bad magic, a bad
+    header, a body shorter or longer than the limit, or a read value
     outside {-1, 0, 1}, and on a ``prefix`` below 1.
     """
     if prefix is not None and prefix < 1:
@@ -342,8 +381,12 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
         (limit,) = struct.unpack("<Q", header)
         if not 1 <= limit <= MAX_LIMIT:
             raise ValueError(f"sieve cache limit {limit} out of range in {path}")
-        if os.fstat(fh.fileno()).st_size < 12 + limit:
-            raise ValueError(f"truncated sieve cache body in {path}")
+        body = os.fstat(fh.fileno()).st_size - 12
+        if body != limit:
+            kind = "truncated" if body < limit else "oversized"
+            raise ValueError(
+                f"{kind} sieve cache body in {path}: {body} bytes for limit {limit}"
+            )
         if prefix is not None:
             limit = min(limit, prefix)
         mu = np.empty(limit + 1, dtype=np.int8)

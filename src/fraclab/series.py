@@ -83,9 +83,13 @@ Value = Union[float, Fraction]
 
 
 def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
-    # mu(n)/n {nx} for n = a..b-1, elementwise
+    # mu(n)/n {nx} for n = a..b-1, elementwise.  For finite y, y - floor(y)
+    # is bit for bit y % 1.0: both are exact for y >= 0, and for y < 0 both
+    # round the same exact y + k once; numpy's float remainder is ~17x slower
     n = np.arange(a, b, dtype=np.float64)
-    return table.mu[a:b].astype(np.float64) / n * ((n * x) % 1.0)
+    frac = n * x
+    frac -= np.floor(frac)
+    return table.mu[a:b].astype(np.float64) / n * frac
 
 
 def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> List[float]:

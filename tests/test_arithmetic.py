@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fraclab
 from fraclab import arithmetic
@@ -71,10 +71,17 @@ def linear_sieve(limit):
     return mu, spf, j2
 
 
+#: indices on either side of the first three block edges of the sieve
+BLOCK_EDGES = [
+    k * arithmetic._SIEVE_BLOCK + i for k in (1, 2, 3) for i in (-1, 0, 1)
+]
+
+
 def test_numpy_sieve_matches_linear_sieve():
-    # every limit up to 300, and p^2 - 1, p^2, p^2 + 1 for each prime
-    # p <= 997: where p joins the primes <= isqrt(limit)
-    limits = list(range(1, 301))
+    # every limit up to 300, p^2 - 1, p^2, p^2 + 1 for each prime
+    # p <= 997 (where p joins the primes <= isqrt(limit)), and limits that
+    # end a block one short of, at, and one past its last entry
+    limits = list(range(1, 301)) + BLOCK_EDGES
     for p in sympy.primerange(2, 998):
         limits += [p * p - 1, p * p, p * p + 1]
     mu = np.array(linear_sieve(max(limits))[0], dtype=np.int8)
@@ -101,6 +108,15 @@ def jordan2_6(table6):
 
 
 @given(n=st.integers(1, 10**6))
+@example(n=BLOCK_EDGES[0])
+@example(n=BLOCK_EDGES[1])
+@example(n=BLOCK_EDGES[2])
+@example(n=BLOCK_EDGES[3])
+@example(n=BLOCK_EDGES[4])
+@example(n=BLOCK_EDGES[5])
+@example(n=BLOCK_EDGES[6])
+@example(n=BLOCK_EDGES[7])
+@example(n=BLOCK_EDGES[8])
 def test_sieve_and_jordan2_match_factorint(table6, jordan2_6, n):
     factors = sympy.factorint(n)
     squarefree = all(e == 1 for e in factors.values())
@@ -300,11 +316,20 @@ def test_table_shape(tmp_path):
         assert np.array_equal(getattr(t, name), before[name]), name
 
 
-@pytest.mark.parametrize("source", ["sieve", "cache"])
-def test_table_peak_memory_per_entry(tmp_path, source):
+@pytest.mark.parametrize(
+    "source, limit, bound",
+    [
+        pytest.param("sieve", 10**6, 10 * 10**6, id="sieve"),
+        pytest.param("cache", 10**6, 10 * 10**6, id="cache"),
+        # the table plus one block of sieve scratch
+        pytest.param(
+            "sieve", 4 * 10**6, 5 * 4 * 10**6 + 16 * arithmetic._SIEVE_BLOCK, id="sieve-4e6"
+        ),
+    ],
+)
+def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
     # numpy reports its buffers to tracemalloc: the 5 bytes an entry holds
-    # (int8 mu, int32 Mertens) plus the sieve's int32 smooth-part arrays
-    limit = 10**6
+    # (int8 mu, int32 Mertens) plus the scratch of one sieve block
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(fraclab.build_tables(limit), path)
     arithmetic._table_memo.clear()
@@ -318,7 +343,25 @@ def test_table_peak_memory_per_entry(tmp_path, source):
     finally:
         tracemalloc.stop()
     assert table.limit == limit
-    assert peak <= 10 * limit, f"{peak / limit:.2f} bytes per entry at peak"
+    assert peak <= bound, f"{peak / limit:.2f} bytes per entry at peak"
+
+
+@pytest.mark.slow
+def test_sieve_at_max_limit():
+    # opt-in (pytest -m slow): ~0.5 GB.  M(10^8) = 1928 is OEIS A084237
+    limit = arithmetic.MAX_LIMIT
+    arithmetic._table_memo.clear()
+    tracemalloc.start()
+    try:
+        table = fraclab.build_tables(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    top = fraclab.mertens(table, limit)
+    del table
+    arithmetic._table_memo.clear()  # free the 0.5 GB before asserting
+    assert top == 1928
+    assert peak <= 5 * limit + 16 * arithmetic._SIEVE_BLOCK, f"{peak / limit:.2f} B/entry"
 
 
 def test_public_names_resolve():

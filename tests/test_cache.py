@@ -1,5 +1,6 @@
 """Binary sieve cache: round trip, corruption handling, CLI fallback."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -43,6 +44,31 @@ def test_truncated_body_rejected(tmp_path):
     path.write_bytes(CACHE_MAGIC + struct.pack("<Q", 100) + b"\x01" * 10)
     with pytest.raises(ValueError, match="truncated"):
         fraclab.load_cache(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "long.muv"
+    fraclab.save_cache(fraclab.build_tables(1000), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x05\x07garbage")
+    for prefix in (None, 10):
+        with pytest.raises(ValueError, match="1009 bytes for limit 1000"):
+            fraclab.load_cache(path, prefix=prefix)
+
+
+@pytest.mark.parametrize(
+    "limit, digest",
+    [
+        (10**6, "fc105ecc559c1ed1a00f439b9ade2de0db07c44a7f82bbcc33e97597a410ef6a"),
+        (10**7, "318136ee4ddf95c5520e0b3f2d7125c4e8b89b40b6af8576106d883b9ba2d70c"),
+    ],
+    ids=["1e6", "1e7"],
+)
+def test_cache_bytes_pinned(tmp_path, limit, digest):
+    # the bytes the whole-array sieve wrote, before the sieve ran in blocks
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(limit), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_out_of_range_values_rejected(tmp_path):
@@ -147,6 +173,14 @@ def test_cli_corrupt_cache_rebuilds_with_warning(tmp_path, capsys):
     assert "mertens,2" in captured.out  # M(1000) = 2 from the rebuilt sieve
     # the repaired cache is valid now
     assert fraclab.load_cache(path).limit == 1000
+    # bytes past the body are refused too, and rebuilt over
+    with open(path, "ab") as fh:
+        fh.write(b"\x05\x07garbage")
+    assert cli.main(["sieve", "--limit", "1000", "--cache", str(path)]) == 0
+    again = capsys.readouterr()
+    assert "warning" in again.err and "1009 bytes for limit 1000" in again.err
+    assert again.out == captured.out
+    assert path.stat().st_size == 12 + 1000
 
 
 def test_cli_undersized_cache_rebuilds(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 import fraclab
 from fraclab import arithmetic, cli, series
@@ -39,6 +40,21 @@ def test_sine_series_chunks_sum_like_one_array(table6):
     terms = table6.mu[1 : N + 1].astype(np.float64) / n * ((n * x) % 1.0)
     expected = -math.pi * math.fsum(terms.tolist())
     assert fraclab.sine_series_partial(table6, N, x) == expected
+
+
+@given(x=st.floats(-1e300, 1e300))
+@example(x=-0.3711)
+@example(x=1e-9)
+@example(x=-123456.789)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=1e300)
+@example(x=-1e300)
+def test_sine_terms_match_float_remainder(table4, x):
+    # {nx} as y - floor(y) has the bits of numpy's y % 1.0 at every finite y
+    n = np.arange(1, 3001, dtype=np.float64)
+    expected = table4.mu[1:3001].astype(np.float64) / n * ((n * x) % 1.0)
+    assert bits(series._sine_terms(table4, x, 1, 3001)) == bits(expected)
 
 
 def oracle_sine_partials(table, Ns, x):
