@@ -52,7 +52,9 @@ def correlation_quadrature(n: int, m: int) -> float:
     (nx - a)(mx - b) is a quadratic there, which Simpson's rule on
     l, mid and r integrates exactly.
     """
-    bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
+    bp = arithmetic._sorted_distinct(
+        np.concatenate((np.arange(n + 1) / n, np.arange(m + 1) / m))
+    )
     left, right = bp[:-1], bp[1:]
     mid = (left + right) / 2
     a, b = np.floor(n * mid), np.floor(m * mid)

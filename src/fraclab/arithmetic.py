@@ -1,19 +1,21 @@
-"""Sieved Moebius/Mertens tables and the partial sums built on them.
+"""Sieved Moebius tables and the partial sums built on them.
 
 A segmented sieve produces, for all 1 <= n <= limit:
 
     mu[n]       Moebius function (int8): 0 when a square divides n,
                 otherwise (-1)**k for n with k distinct prime factors
-    mertens[n]  M(n) = sum_{k <= n} mu(k) (int32: |M(n)| <= n <= MAX_LIMIT)
 
-Conventions fixed here: mu(1) = 1, M(0) = 0.  A table has these fields
-and no others, whether it was sieved or loaded from the cache; n is
-square-free exactly when mu[n] != 0, so no flag array is kept.
+Conventions fixed here: mu(1) = 1, M(0) = 0.  A table has the fields
+limit and mu and no others, whether it was sieved or loaded from the
+cache; n is square-free exactly when mu[n] != 0, so no flag array is
+kept.  The Mertens function M(n) = sum_{k <= n} mu(k) is not stored
+either: ``mertens`` sums mu for one value, and the tail sums in
+``tails`` build M block by block where they read it.
 
 The sieve runs over 1..limit in blocks of ``_SIEVE_BLOCK`` entries, with
 the primes p <= isqrt(limit) carried from block to block (Bays & Hudson,
 "The segmented sieve of Eratosthenes", BIT 17, 1977), so building a
-table peaks at its own 5 bytes per entry plus one block's scratch.
+table peaks at its own byte per entry plus one block's scratch.
 
 The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
 sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
@@ -58,12 +60,12 @@ CACHE_MAGIC = b"MUV1"
 
 @dataclass(frozen=True)
 class MoebiusTable:
-    """Sieve arrays indexed 1..limit (index 0 is padding), 5 bytes per
-    entry, read-only as ``build_tables`` and ``load_cache`` return them."""
+    """The Moebius function indexed 1..limit (index 0 is padding), one
+    byte per entry, read-only as ``build_tables`` and ``load_cache``
+    return it."""
 
     limit: int
-    mu: np.ndarray       # int8, mu[0] = 0
-    mertens: np.ndarray  # int32, mertens[0] = 0
+    mu: np.ndarray  # int8, mu[0] = 0
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -75,13 +77,9 @@ class MoebiusTable:
 _table_memo: dict[int, MoebiusTable] = {}
 
 
-def _table_from_mu(limit: int, mu: np.ndarray) -> MoebiusTable:
-    """Derive the int32 Mertens array from ``mu`` (mu[0] = 0); freeze both."""
-    mertens_arr = mu.astype(np.int32)
-    np.cumsum(mertens_arr, out=mertens_arr)  # in place: no int32 temporary
-    for arr in (mu, mertens_arr):
-        arr.setflags(write=False)
-    return MoebiusTable(limit=limit, mu=mu, mertens=mertens_arr)
+def _frozen_table(limit: int, mu: np.ndarray) -> MoebiusTable:
+    mu.setflags(write=False)
+    return MoebiusTable(limit=limit, mu=mu)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -96,9 +94,9 @@ def _primes_upto(n: int) -> list[int]:
 #: entries sieved per block.  Every block makes a few numpy calls per
 #: prime p <= isqrt(limit), so the Python cost grows with the number of
 #: blocks; the scratch (int32 radical and index arrays for mu, int64 and
-#: int32 arrays for J2) grows with the block.  At 2^18 a 10^7 sieve's
-#: peak RSS stays below that of the commands that read a 10^7 cache; at
-#: 2^20 it did not
+#: int32 arrays for J2) grows with the block.  A 10^7 sieve took 0.52,
+#: 0.19 and 0.17 s at 2^16, 2^18 and 2^20, at 38.8, 40.8 and 48.3 MB
+#: peak RSS (2-core x86-64 VM, numpy 2.4.6)
 _SIEVE_BLOCK = 1 << 18
 
 
@@ -135,7 +133,7 @@ def _large_prime_part(lo: int, hi: int, primes: list[int]) -> np.ndarray:
 
 
 def build_tables(limit: int) -> MoebiusTable:
-    """Sieve mu and M up to ``limit``, one block (``_blocks``) at a time.
+    """Sieve mu up to ``limit``, one block (``_blocks``) at a time.
 
     In a block, each prime p <= isqrt(limit) negates mu on its multiples,
     clears mu on the multiples of p^2, and multiplies p into an int32
@@ -144,7 +142,7 @@ def build_tables(limit: int) -> MoebiusTable:
     factor above isqrt(limit), which negates mu(n) once more; as
     radical(n) divides n, that factor exists exactly when radical(n) < n,
     so no division is needed.  Where a square divides n, mu(n) is already
-    0.  The peak is the 5-byte-per-entry table plus one block's scratch.
+    0.  The peak is the one-byte-per-entry table plus one block's scratch.
     Output is deterministic for a given limit; the arrays are read-only,
     and the most recent table is memoized.
     """
@@ -172,7 +170,7 @@ def build_tables(limit: int) -> MoebiusTable:
         large = radical < np.arange(lo, hi, dtype=np.int32)
         block *= 1 - 2 * large.view(np.int8)
 
-    table = _table_from_mu(limit, mu)
+    table = _frozen_table(limit, mu)
     _table_memo[limit] = table
     return table
 
@@ -232,9 +230,10 @@ def build_jordan2(table: MoebiusTable) -> np.ndarray:
 
 
 def mertens(table: MoebiusTable, n: int) -> int:
-    """M(n) = sum_{m <= n} mu(m)."""
+    """M(n) = sum_{m <= n} mu(m), summed from mu in O(n): an exact int64
+    sum that numpy casts in small buffers, so no length-n temporary."""
     table._check_index(n)
-    return int(table.mertens[n])
+    return int(np.sum(table.mu[: n + 1], dtype=np.int64))
 
 
 def squarefree_count(table: MoebiusTable, N: int) -> int:
@@ -259,6 +258,14 @@ def squarefree_zeta2_partial(table: MoebiusTable, N: int) -> float:
     n = np.arange(1, N + 1, dtype=np.float64)
     terms = (table.mu[1 : N + 1] != 0) / (n * n)
     return math.fsum(terms.tolist())
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The non-empty ``values``, sorted in place, with equal neighbours
+    dropped: what ``np.unique`` returns, without its first-use import of
+    numpy.ma (~10 ms a process)."""
+    values.sort()
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 #: terms built per pass of ``_range_fsums``; at most 2^26, the bin size
@@ -298,17 +305,20 @@ def _range_fsums(
     stop: int,
     bounds: Sequence[int],
     suffix: bool = False,
-) -> list[float]:
+    rows: Optional[int] = None,
+):
     """``math.fsum`` of the terms over [start, b), or over [b, stop) with
     ``suffix``, for each b in the strictly increasing ``bounds``.
 
     ``term(a, b)`` returns the float64 terms of the indices a..b-1; it is
-    called once per pass of ``_FSUM_CHUNK`` indices, so every term is
-    built once.  Each pass is cut at the bounds it spans and every piece
-    reduced to its exact bin totals (``_bin_totals``).  ``math.fsum``
-    over the totals of the pieces a range covers rounds their true sum
-    once, which is the value, bit for bit, that ``math.fsum`` over the
-    range's own terms gives.
+    called once per pass of ``_FSUM_CHUNK`` indices, in order, so every
+    term is built once.  With ``rows``, it returns a (rows, b - a) block
+    of that many term sequences instead, and the result is one list of
+    sums per row.  Each pass is cut at the bounds it spans and every
+    piece reduced to its exact bin totals (``_bin_totals``).
+    ``math.fsum`` over the totals of the pieces a range covers rounds
+    their true sum once, which is the value, bit for bit, that
+    ``math.fsum`` over the range's own terms gives.
     """
     bounds = list(bounds)
     edges = [start, *bounds, stop]
@@ -318,22 +328,27 @@ def _range_fsums(
         raise AssertionError(
             f"bounds must strictly increase within {start}..{stop}, got {bounds}"
         )
-    pieces: list[list[float]] = [[] for _ in range(len(edges) - 1)]
+    width = 1 if rows is None else rows
+    pieces = [[[] for _ in range(len(edges) - 1)] for _ in range(width)]
     for s in range(start, stop, _FSUM_CHUNK):
         e = min(s + _FSUM_CHUNK, stop)
-        terms = term(s, e)
+        terms = term(s, e).reshape(width, e - s)
         i = bisect.bisect_right(edges, s) - 1
-        while i < len(pieces) and edges[i] < e:
+        while i < len(edges) - 1 and edges[i] < e:
             a, b = max(edges[i], s), min(edges[i + 1], e)
             if a < b:
-                pieces[i] += _bin_totals(terms[a - s : b - s])
+                for row, row_pieces in zip(terms, pieces):
+                    row_pieces[i] += _bin_totals(row[a - s : b - s])
             i += 1
-    sums: list[float] = []
-    covered: list[float] = []
-    for piece in (pieces[:0:-1] if suffix else pieces[:-1]):
-        covered += piece
-        sums.append(math.fsum(covered))
-    return sums[::-1] if suffix else sums
+    all_sums = []
+    for row_pieces in pieces:
+        sums: list[float] = []
+        covered: list[float] = []
+        for piece in (row_pieces[:0:-1] if suffix else row_pieces[:-1]):
+            covered += piece
+            sums.append(math.fsum(covered))
+        all_sums.append(sums[::-1] if suffix else sums)
+    return all_sums[0] if rows is None else all_sums
 
 
 def save_cache(table: MoebiusTable, path) -> None:
@@ -363,9 +378,9 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
 
     Only the header and the prefix's bytes are read, straight into the
     table's mu array; the file size must be exactly the 12 header bytes
-    plus the ``limit`` body bytes ``save_cache`` writes.  Mertens is
-    recomputed from mu (cheap prefix work), so a loaded table has the
-    same fields as a sieved one.  Raises ValueError on a bad magic, a bad
+    plus the ``limit`` body bytes ``save_cache`` writes.  A loaded table
+    has the same fields as a sieved one and nothing is derived on load,
+    so it takes one byte per entry.  Raises ValueError on a bad magic, a bad
     header, a body shorter or longer than the limit, or a read value
     outside {-1, 0, 1}, and on a ``prefix`` below 1.
     """
@@ -395,4 +410,4 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
             raise ValueError(f"truncated sieve cache body in {path}")
     if mu[1] != 1 or mu.min() < -1 or mu.max() > 1:
         raise ValueError(f"sieve cache in {path} holds values outside {{-1,0,1}}")
-    return _table_from_mu(int(limit), mu)
+    return _frozen_table(int(limit), mu)

@@ -151,8 +151,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _n_grid(n_max: int, points: int) -> List[int]:
-    grid = np.unique(np.rint(np.geomspace(1, n_max, points)).astype(int))
-    return [int(v) for v in grid]
+    grid = np.rint(np.geomspace(1, n_max, points)).astype(int)
+    return arithmetic._sorted_distinct(grid).tolist()
 
 
 def cmd_sine_series(args: argparse.Namespace) -> int:

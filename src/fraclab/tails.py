@@ -9,9 +9,13 @@ M(u)/u^2 and M(u)/u over [N, U] are finite sums over unit steps:
 Each sum is the correctly rounded value of its float64 terms, the one
 math.fsum over the term list gives, found in one pass: the terms are
 built in chunks and reduced to exact per-exponent bin totals
-(``arithmetic._range_fsums``).  ``classical_bound_report`` returns the
-rows the ``tails`` command prints, one plain tuple per cutoff, and sums
-every cutoff's tail in one suffix pass per column.
+(``arithmetic._range_fsums``).  The table holds mu only, so each chunk's
+M values are built as they are summed (``_MertensRun``): M(a - 1),
+carried from the chunk before, plus the cumulative sum of mu over the
+chunk.  Every M value is an exact integer, below 2^53, so it is exact in
+float64 too.  ``classical_bound_report`` returns the rows the ``tails``
+command prints, one plain tuple per cutoff, and sums every cutoff's tail
+of both columns in one suffix pass, which also reads M at the cutoffs.
 
 ``abel_identity_check`` verifies the summation-by-parts expansion of
 sum_{N<n<=U} mu(n)/n {nx} at finite range.  With f(u) = {ux}/u taken
@@ -48,14 +52,14 @@ which also caps the jump points in (N, U] at 10^6.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
-from functools import partial
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_fsums
+from .arithmetic import MoebiusTable, _range_fsums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -72,28 +76,71 @@ def _check_range(table: MoebiusTable, N: int, U: int) -> None:
         )
 
 
-def _u2_terms(table: MoebiusTable, a: int, b: int) -> np.ndarray:
-    # M(k) (1/k - 1/(k+1)) for k = a..b-1, elementwise
-    k = np.arange(a, b, dtype=np.float64)
-    return table.mertens[a:b].astype(np.float64) / (k * (k + 1.0))
+class _MertensRun:
+    """int64 M(k) for k = a..b-1, over consecutive blocks [a, b) from
+    ``start`` on: M(a - 1), carried from the block before, plus the
+    cumulative sum of mu[a:b].  Only the first block pays for the prefix
+    before it, an O(start) buffered sum of mu.  ``last`` is M(b - 1) of
+    the latest block, M(start - 1) before the first."""
+
+    def __init__(self, table: MoebiusTable, start: int) -> None:
+        self.mu = table.mu
+        self.stop = start
+        self.last = int(np.sum(table.mu[:start], dtype=np.int64))
+
+    def __call__(self, a: int, b: int) -> np.ndarray:
+        if a != self.stop or b <= a:
+            raise AssertionError(f"M block [{a}, {b}) does not follow [.., {self.stop})")
+        block = np.cumsum(self.mu[a:b], dtype=np.int64)
+        block += self.last
+        self.stop, self.last = b, int(block[-1])
+        return block
 
 
-def _u1_terms(table: MoebiusTable, a: int, b: int) -> np.ndarray:
-    # M(k) ln((k+1)/k) for k = a..b-1, elementwise
+def _u2(k: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    # M(k) (1/k - 1/(k+1)) = M(k) / (k (k+1)), elementwise
+    d = k + 1.0
+    d *= k
+    np.divide(m, d, out=out)
+
+
+def _u1(k: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    # M(k) ln((k+1)/k) = M(k) log1p(1/k), elementwise
+    r = 1.0 / k
+    np.log1p(r, out=r)
+    np.multiply(m, r, out=out)
+
+
+_Column = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
+def _tail_terms(a: int, b: int, M: np.ndarray, columns: Sequence[_Column]) -> np.ndarray:
+    """The (len(columns), b - a) block of tail terms for k = a..b-1, all
+    from the one block ``M`` of M(a..b-1)."""
     k = np.arange(a, b, dtype=np.float64)
-    return table.mertens[a:b].astype(np.float64) * np.log1p(1.0 / k)
+    m = M.astype(np.float64)
+    terms = np.empty((len(columns), b - a))
+    for column, row in zip(columns, terms):
+        column(k, m, row)
+    return terms
+
+
+def _tail_integral(table: MoebiusTable, N: int, U: int, column: _Column) -> float:
+    _check_range(table, N, U)
+    run = _MertensRun(table, N)
+    return _range_fsums(
+        lambda a, b: _tail_terms(a, b, run(a, b), [column]), N, U, [N], suffix=True
+    )[0]
 
 
 def tail_integral_u2(table: MoebiusTable, N: int, U: int) -> float:
     """integral_N^U M(u)/u^2 du over the exact unit steps of M."""
-    _check_range(table, N, U)
-    return _range_fsums(partial(_u2_terms, table), N, U, [N], suffix=True)[0]
+    return _tail_integral(table, N, U, _u2)
 
 
 def tail_integral_u1(table: MoebiusTable, N: int, U: int) -> float:
     """integral_N^U M(u)/u du over the exact unit steps of M."""
-    _check_range(table, N, U)
-    return _range_fsums(partial(_u1_terms, table), N, U, [N], suffix=True)[0]
+    return _tail_integral(table, N, U, _u1)
 
 
 def _coerce_x(x) -> Fraction:
@@ -122,23 +169,24 @@ def _jumps(N: int, U: int, p: int, q: int) -> np.ndarray:
     return np.arange(N * p // q + 1, k1 + 1, dtype=np.int64)
 
 
-def _jump_sum(table: MoebiusTable, N: int, U: int, p: int, q: int) -> float:
-    """x * sum over jump points u0 = k/x in (N, U] of M(u0^-) / k.
+def _jump_sum(M: np.ndarray, N: int, U: int, p: int, q: int) -> float:
+    """x * sum over jump points u0 = k/x in (N, U] of M(u0^-) / k, with
+    ``M[i]`` = M(N + i) for 0 <= i <= U - N.
 
     M steps at the integers, so its left limit at u0 = kq/p is
     M(ceil(u0) - 1) = M((kq - 1) // p): one index lower when u0 is an
     integer.
     """
     k = _jumps(N, U, p, q)
-    left = table.mertens[(k * q - 1) // p].astype(np.float64)
+    left = M[(k * q - 1) // p - N].astype(np.float64)
     return math.fsum(left * (p / q) / k)
 
 
 def _step_pieces(
-    table: MoebiusTable, N: int, U: int, p: int, q: int
+    M: np.ndarray, N: int, U: int, p: int, q: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (t0, t1, M, floor(ux)) of the pieces of [N, U] scaled by
-    t = u * p.
+    t = u * p, with ``M[i]`` = M(N + i) for 0 <= i <= U - N.
 
     The breakpoints are the multiples of p (integer u, where M steps) and
     of q (jump points of {ux}) in [Np, Up], merged by concatenating,
@@ -146,11 +194,9 @@ def _step_pieces(
     M(u) = M(t0 // p) and floor(ux) = t0 // q are constant.
     """
     jumps = _jumps(N, U, p, q) * q  # the guard first: jumps set the piece count
-    bp = np.concatenate((np.arange(N, U + 1, dtype=np.int64) * p, jumps))
-    bp.sort()
-    bp = bp[np.concatenate(([True], bp[1:] != bp[:-1]))]
+    bp = _sorted_distinct(np.concatenate((np.arange(N, U + 1, dtype=np.int64) * p, jumps)))
     t0, t1 = bp[:-1], bp[1:]
-    return t0, t1, table.mertens[t0 // p], t0 // q
+    return t0, t1, M[t0 // p - N], t0 // q
 
 
 def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
@@ -172,18 +218,19 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     r = n * (p % q) % q  # n p mod q
     lhs = math.fsum((table.mu[N + 1 : U + 1] * r / q / n).tolist())
 
+    M = _MertensRun(table, N)(N, U + 1)  # M(N..U), shared by every term below
     boundary = (
-        int(table.mertens[U]) * ((U * p) % q) / q / U
-        - int(table.mertens[N]) * ((N * p) % q) / q / N
+        int(M[-1]) * ((U * p) % q) / q / U
+        - int(M[0]) * ((N * p) % q) / q / N
     )
     drift = -(p / q) * tail_integral_u1(table, N, U)
-    t0, t1, m, a = _step_pieces(table, N, U, p, q)
+    t0, t1, m, a = _step_pieces(M, N, U, p, q)
     # math.log1p per piece: np.log1p may differ from it in the last bit
     logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
     # a * float(p): a p < 2^53 under MAX_FLOOR_UX, so the float product is exact
     frac_terms = m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0))
     frac_integral = math.fsum(frac_terms)
-    rhs = boundary + drift + frac_integral + _jump_sum(table, N, U, p, q)
+    rhs = boundary + drift + frac_integral + _jump_sum(M, N, U, p, q)
     return abs(lhs - rhs)
 
 
@@ -218,10 +265,20 @@ def classical_bound_report(
         table._check_index(N)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
-    # every tail runs to the table limit: one suffix pass per column, and
-    # a cutoff at the limit gets the empty sum 0.0
+    # every tail runs to the table limit: one suffix pass for both
+    # columns, and a cutoff at the limit gets the empty sum 0.0
     start = cuts[0] if cuts else table.limit
-    u2 = _range_fsums(partial(_u2_terms, table), start, table.limit, cuts, suffix=True)
-    u1 = _range_fsums(partial(_u1_terms, table), start, table.limit, cuts, suffix=True)
-    ms = [int(table.mertens[N]) for N in cuts]
+    run = _MertensRun(table, start)
+    at = {}  # M at the cutoffs, read from the blocks of the pass
+
+    def term(a: int, b: int) -> np.ndarray:
+        M = run(a, b)
+        for N in cuts[bisect.bisect_left(cuts, a) : bisect.bisect_left(cuts, b)]:
+            at[N] = int(M[N - a])
+        return _tail_terms(a, b, M, [_u2, _u1])
+
+    u2, u1 = _range_fsums(term, start, table.limit, cuts, suffix=True, rows=2)
+    # the pass stops before the limit, where the last block's M ends
+    at[table.limit] = run.last + int(table.mu[table.limit])
+    ms = [at[N] for N in cuts]
     return [(N, m / N, a, b, _bound_fit(m, N, c)) for N, m, a, b in zip(cuts, ms, u2, u1)]

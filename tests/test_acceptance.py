@@ -13,6 +13,10 @@ verdict and detail against them.  The criterion is kept as stated
 rather than loosened; its FAIL documents the fact.
 """
 
+import random
+
+import numpy as np
+
 from fraclab import acceptance
 
 #: M(10^k) for k = 3..6 (OEIS A084237), independent of the sieve
@@ -29,6 +33,27 @@ def _run(table, number):
 def _assert_passes(table, number):
     result = _run(table, number)
     assert result.passed, f"criterion {number}: {result.detail}"
+
+
+def union1d_quadrature(n, m):
+    # correlation_quadrature as it was with np.union1d for the breakpoints
+    bp = np.union1d(np.arange(n + 1) / n, np.arange(m + 1) / m)
+    left, right = bp[:-1], bp[1:]
+    mid = (left + right) / 2
+    a, b = np.floor(n * mid), np.floor(m * mid)
+
+    def f(x):
+        return (n * x - a) * (m * x - b)
+
+    return float(np.sum((right - left) * (f(left) + 4 * f(mid) + f(right)))) / 6
+
+
+def test_quadrature_matches_union1d_on_criterion_02_pairs():
+    rng = random.Random(acceptance._LAW_SEED)  # the pairs criterion 2 draws
+    pairs = [(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(20)]
+    for n, m in pairs + [(1, 1), (6, 6), (4, 6), (199, 200)]:
+        got = acceptance.correlation_quadrature(n, m)
+        assert got.hex() == union1d_quadrature(n, m).hex(), (n, m)
 
 
 def test_criterion_01_diagonal_exact(table6):

@@ -130,13 +130,15 @@ def test_sieve_and_jordan2_match_factorint(table6, jordan2_6, n):
 def test_limit_one():
     t = fraclab.build_tables(1)
     assert t.mu[1:].tolist() == [1]
-    assert t.mertens[1:].tolist() == [1]
+    assert np.cumsum(t.mu)[1:].tolist() == [1]
+    assert fraclab.mertens(t, 1) == 1
 
 
 def test_first_six_values():
     t = fraclab.build_tables(6)
     assert t.mu[1:].tolist() == [1, -1, -1, 0, -1, 1]
-    assert t.mertens[1:].tolist() == [1, 0, -1, -1, -2, -1]
+    assert np.cumsum(t.mu)[1:].tolist() == [1, 0, -1, -1, -2, -1]
+    assert [fraclab.mertens(t, n) for n in range(1, 7)] == [1, 0, -1, -1, -2, -1]
 
 
 def test_build_rejects_bad_limits():
@@ -171,7 +173,9 @@ def test_mertens_and_squarefree_count_at_1e7():
 
 
 def test_mertens_difference_is_mu(table4):
-    m = table4.mertens
+    # M(n) from ``mertens``, one sum of mu per n, against its own cumsum
+    m = np.array([0] + [fraclab.mertens(table4, n) for n in range(1, table4.limit + 1)])
+    assert np.array_equal(m, np.cumsum(table4.mu, dtype=np.int64))
     assert np.array_equal((m[1:] - m[:-1]).astype(np.int8), table4.mu[1:])
 
 
@@ -282,7 +286,7 @@ def test_table_arrays_are_read_only(tmp_path):
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(t, path)
     loaded = fraclab.load_cache(path)
-    for arr in (t.mu, t.mertens, fraclab.build_jordan2(t), loaded.mu, loaded.mertens):
+    for arr in (t.mu, fraclab.build_jordan2(t), loaded.mu):
         with pytest.raises(ValueError, match="read-only"):
             arr[1] = 0
     # the square-free flags are mu != 0: no copy of them is kept to freeze
@@ -292,7 +296,7 @@ def test_table_arrays_are_read_only(tmp_path):
 def test_table_shape(tmp_path):
     t = fraclab.build_tables(1000)
     names = [f.name for f in dataclasses.fields(fraclab.MoebiusTable)]
-    assert names == ["limit", "mu", "mertens"]
+    assert names == ["limit", "mu"]
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(t, path)
     loaded = fraclab.load_cache(path)
@@ -301,10 +305,12 @@ def test_table_shape(tmp_path):
         assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours), name
     assert loaded.limit == t.limit
     for table in (t, loaded):
-        assert (table.mu.dtype, table.mertens.dtype) == (np.int8, np.int32)
-        assert table.mu.nbytes + table.mertens.nbytes == 5 * (table.limit + 1)
-        assert np.array_equal(table.mertens, np.cumsum(table.mu, dtype=np.int64))
-    assert arithmetic.MAX_LIMIT < 2**31, "int32 Mertens needs |M(n)| <= n < 2^31"
+        assert table.mu.dtype == np.int8
+        assert table.mu.nbytes == table.limit + 1
+        assert fraclab.mertens(table, table.limit) == np.cumsum(table.mu, dtype=np.int64)[-1]
+    assert arithmetic.MAX_LIMIT < 2**31, (
+        "the sieve's int32 radical and smooth-part arrays hold divisors of n <= MAX_LIMIT"
+    )
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.mu = loaded.mu
     before = {name: np.copy(getattr(t, name)) for name in names}
@@ -319,17 +325,18 @@ def test_table_shape(tmp_path):
 @pytest.mark.parametrize(
     "source, limit, bound",
     [
-        pytest.param("sieve", 10**6, 10 * 10**6, id="sieve"),
-        pytest.param("cache", 10**6, 10 * 10**6, id="cache"),
         # the table plus one block of sieve scratch
+        pytest.param("sieve", 10**6, 10**6 + 16 * arithmetic._SIEVE_BLOCK, id="sieve"),
+        # the table alone: nothing is derived on load
+        pytest.param("cache", 10**6, 1.1 * 10**6, id="cache"),
         pytest.param(
-            "sieve", 4 * 10**6, 5 * 4 * 10**6 + 16 * arithmetic._SIEVE_BLOCK, id="sieve-4e6"
+            "sieve", 4 * 10**6, 4 * 10**6 + 16 * arithmetic._SIEVE_BLOCK, id="sieve-4e6"
         ),
     ],
 )
 def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
-    # numpy reports its buffers to tracemalloc: the 5 bytes an entry holds
-    # (int8 mu, int32 Mertens) plus the scratch of one sieve block
+    # numpy reports its buffers to tracemalloc: the one byte an entry
+    # holds (int8 mu) plus, when sieving, the scratch of one block
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(fraclab.build_tables(limit), path)
     arithmetic._table_memo.clear()
@@ -348,7 +355,7 @@ def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
 
 @pytest.mark.slow
 def test_sieve_at_max_limit():
-    # opt-in (pytest -m slow): ~0.5 GB.  M(10^8) = 1928 is OEIS A084237
+    # opt-in (pytest -m slow): ~0.2 GB peak RSS.  M(10^8) = 1928 is OEIS A084237
     limit = arithmetic.MAX_LIMIT
     arithmetic._table_memo.clear()
     tracemalloc.start()
@@ -359,9 +366,9 @@ def test_sieve_at_max_limit():
         tracemalloc.stop()
     top = fraclab.mertens(table, limit)
     del table
-    arithmetic._table_memo.clear()  # free the 0.5 GB before asserting
+    arithmetic._table_memo.clear()  # free the 0.1 GB before asserting
     assert top == 1928
-    assert peak <= 5 * limit + 16 * arithmetic._SIEVE_BLOCK, f"{peak / limit:.2f} B/entry"
+    assert peak <= limit + 16 * arithmetic._SIEVE_BLOCK, f"{peak / limit:.2f} B/entry"
 
 
 def test_public_names_resolve():

@@ -18,7 +18,8 @@ def test_round_trip(tmp_path):
     loaded = fraclab.load_cache(path)
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.mu, table.mu)
-    assert np.array_equal(loaded.mertens, table.mertens)
+    assert np.array_equal(np.cumsum(loaded.mu), np.cumsum(table.mu))
+    assert fraclab.mertens(loaded, 5000) == fraclab.mertens(table, 5000)
     assert np.array_equal(loaded.mu != 0, table.mu != 0)
 
 
@@ -84,8 +85,8 @@ def test_prefix_read(tmp_path):
     small = fraclab.build_tables(300)
     loaded = fraclab.load_cache(path, prefix=300)
     assert loaded.limit == 300
-    for field in ("mu", "mertens"):
-        assert np.array_equal(getattr(loaded, field), getattr(small, field))
+    assert np.array_equal(loaded.mu, small.mu)
+    assert np.array_equal(np.cumsum(loaded.mu), np.cumsum(small.mu))
     assert np.array_equal(loaded.mu != 0, small.mu != 0)
     # a prefix past the cache gets the whole, shorter, table
     assert fraclab.load_cache(path, prefix=9000).limit == 5000

@@ -1,11 +1,19 @@
 """Command-line surface: CSV schemas, determinism, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fraclab
 from fraclab import arithmetic, cli, exact, series
 from fraclab.formatting import format_decimal
 
@@ -448,3 +456,49 @@ def test_verify_known_failing_criterion(capsys, table6):
     assert "smallness ok" in out
     assert "strict decrease FAILED" in out
     assert "failing criteria: 7" in err
+
+
+@settings(max_examples=50)
+@given(st.integers(1, arithmetic.MAX_LIMIT), st.integers(1, 10**5))
+@example(1, 1)
+@example(10, 1000)
+@example(arithmetic.MAX_LIMIT, cli.MAX_POINTS)
+def test_n_grid_is_the_sorted_set(n_max, points):
+    raw = np.rint(np.geomspace(1, n_max, points)).astype(int)
+    grid = cli._n_grid(n_max, points)
+    assert grid == sorted(set(raw.tolist()))
+    assert all(type(N) is int for N in grid)
+
+
+#: what a check for numpy.ma in sys.modules prints, after ``import numpy``
+#: and after the command (numpy.matrixlib shares the prefix, not the package)
+NUMPY_MA_PROBE = """\
+import sys
+import numpy
+def ma():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+base = ma()
+from fraclab import cli
+rc = cli.main(sys.argv[1:])
+print(sorted(ma() - base), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, rc",
+    [(["sine-series", "--x", "0.25", "--n-max", "1000"], 0), (["verify"], 1)],
+    ids=["sine-series", "verify"],
+)
+def test_commands_do_not_import_numpy_ma(args, rc):
+    # np.unique and np.union1d import numpy.ma on first use, which costs
+    # each process ~10 ms and, on its first run, compiling numpy.ma
+    env = {k: v for k, v in os.environ.items() if k != "FRACLAB_CACHE"}
+    src = str(Path(fraclab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, *args],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert done.returncode == rc, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"

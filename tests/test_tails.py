@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraclab
@@ -15,25 +15,31 @@ from fraclab import arithmetic, cli, tails
 
 
 # -- oracles: the per-cutoff fsum over a term list, as it was before the
-# one-pass binned sums; the terms are built the same way, elementwise
+# one-pass binned sums; the terms are built the same way, elementwise,
+# from a whole-length M array
+
+
+def mertens_array(table):
+    return np.cumsum(table.mu, dtype=np.int64)
 
 
 def oracle_tail_u2(table, N, U):
     k = np.arange(N, U, dtype=np.float64)
-    terms = table.mertens[N:U].astype(np.float64) / (k * (k + 1.0))
+    terms = mertens_array(table)[N:U].astype(np.float64) / (k * (k + 1.0))
     return math.fsum(terms.tolist())
 
 
 def oracle_tail_u1(table, N, U):
     k = np.arange(N, U, dtype=np.float64)
-    terms = table.mertens[N:U].astype(np.float64) * np.log1p(1.0 / k)
+    terms = mertens_array(table)[N:U].astype(np.float64) * np.log1p(1.0 / k)
     return math.fsum(terms.tolist())
 
 
 def oracle_report(table, cutoffs, c=1.0):
+    M = mertens_array(table)
     rows = []
     for N in cutoffs:
-        m = int(table.mertens[N])
+        m = int(M[N])
         if N < table.limit:
             u2 = oracle_tail_u2(table, N, table.limit)
             u1 = oracle_tail_u1(table, N, table.limit)
@@ -76,14 +82,24 @@ def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
         built.append((a, b))
         return x[a:b]
 
+    y = x[::-1].copy()
+
+    def two_rows(a, b):
+        return np.stack((x[a:b], y[a:b]))
+
     with mock.patch.object(arithmetic, "_FSUM_CHUNK", chunk):
         prefix = arithmetic._range_fsums(term, start, len(x), bounds)
         suffix = arithmetic._range_fsums(term, start, len(x), bounds, suffix=True)
+        rows = arithmetic._range_fsums(two_rows, start, len(x), bounds, suffix=True, rows=2)
     assert bits(prefix) == bits(math.fsum(x[start:b].tolist()) for b in bounds)
     assert bits(suffix) == bits(math.fsum(x[b:].tolist()) for b in bounds)
     # each pass builds every term once, one chunk at a time
     once = [(a, min(a + chunk, len(x))) for a in range(start, len(x), chunk)]
     assert built == once + once
+    # a block of rows sums each row as its own term sequence
+    assert len(rows) == 2
+    assert bits(rows[0]) == bits(suffix)
+    assert bits(rows[1]) == bits(math.fsum(y[b:].tolist()) for b in bounds)
 
 
 def test_range_fsums_full_chunks_in_one_binade():
@@ -112,6 +128,68 @@ def test_range_fsums_reject_non_finite_terms(bad):
 def test_range_fsums_reject_bad_bounds(bounds):
     with pytest.raises(AssertionError, match="bounds"):
         arithmetic._range_fsums(lambda a, b: np.ones(b - a), 1, 10, bounds)
+
+
+# -- M built from mu where it is read, against one whole-length cumsum
+
+CHUNK = arithmetic._FSUM_CHUNK
+LIMIT6 = 10**6
+#: 1, the 10^6 limit, and the indices next to every chunk boundary below it
+EDGES = sorted(
+    {1, LIMIT6}
+    | {k * CHUNK + d for k in range(1, LIMIT6 // CHUNK + 1) for d in (-1, 0, 1)}
+)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.sampled_from(EDGES), min_size=2, max_size=5, unique=True))
+@example([1, LIMIT6])
+@example([1, CHUNK - 1, CHUNK, CHUNK + 1, LIMIT6])
+def test_mertens_from_mu_matches_cumsum(table6, points):
+    M = mertens_array(table6)
+    points = sorted(points)
+    start, stop = points[0], points[-1]
+    # carried blocks, asked for chunk by chunk as _range_fsums does
+    run = tails._MertensRun(table6, start)
+    assert run.last == M[start - 1]
+    blocks = [run(a, min(a + CHUNK, stop)) for a in range(start, stop, CHUNK)]
+    assert np.array_equal(np.concatenate(blocks), M[start:stop])
+    assert run.last == M[stop - 1]
+    for n in points:
+        assert fraclab.mertens(table6, n) == M[n]
+    # the report reads M at its cutoffs from its own pass, the limit included
+    with mock.patch.object(tails, "_bound_fit", wraps=tails._bound_fit) as fit:
+        rows = fraclab.classical_bound_report(table6, points)
+    assert [call.args[0] for call in fit.call_args_list] == [int(M[N]) for N in points]
+    assert [row[1] for row in rows] == [int(M[N]) / N for N in points]
+
+
+@pytest.mark.parametrize("limit", [2, 3, CHUNK + 1, 2 * CHUNK - 1, 3 * CHUNK + 1])
+def test_report_reads_mertens_at_the_limit(limit):
+    # the pass stops before the limit; mu(limit) != 0 here, so M(limit)
+    # differs from the M(limit - 1) the last block ends on
+    table = fraclab.build_tables(limit)
+    assert table.mu[limit] != 0
+    M = mertens_array(table)
+    for cuts in ([limit], [1, limit], [limit - 1, limit]):
+        with mock.patch.object(tails, "_bound_fit", wraps=tails._bound_fit) as fit:
+            fraclab.classical_bound_report(table, cuts)
+        assert [call.args[0] for call in fit.call_args_list] == [int(M[N]) for N in cuts]
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(EDGES), st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK]))
+@example(1, CHUNK)
+@example(LIMIT6 - CHUNK - 1, 2 * CHUNK)
+def test_abel_shares_mertens_from_mu(table6, N, width):
+    U = min(N + width, LIMIT6)
+    assume(N < U)
+    with mock.patch.object(tails, "_jump_sum", wraps=tails._jump_sum) as jump, \
+            mock.patch.object(tails, "_step_pieces", wraps=tails._step_pieces) as steps:
+        assert fraclab.abel_identity_check(table6, N, U, Fraction(1, 7)) < 1e-9
+    shared = jump.call_args.args[0]
+    assert steps.call_args.args[0] is shared  # built once per call
+    assert np.array_equal(shared, mertens_array(table6)[N : U + 1])
 
 
 def test_tail_integrals_match_oracle(table6):
@@ -236,8 +314,9 @@ def test_abel_tie_break_at_coincident_jumps(table4):
     for N, U in [(1, 2), (2, 4), (10, 50), (99, 200)]:
         assert fraclab.abel_identity_check(table4, N, U, Fraction(1, 2)) < 1e-9
     # one jump in each range: the jump sum is x M(u^-) / k at index (kq - 1) // p
-    assert tails._jump_sum(table4, 1, 2, 1, 2) == 0.5 * int(table4.mertens[1])  # u = 2
-    assert tails._jump_sum(table4, 2, 3, 2, 5) == 0.4 * int(table4.mertens[2])  # u = 5/2
+    M = mertens_array(table4)
+    assert tails._jump_sum(M[1:3], 1, 2, 1, 2) == 0.5 * int(M[1])  # u = 2
+    assert tails._jump_sum(M[2:4], 2, 3, 2, 5) == 0.4 * int(M[2])  # u = 5/2
 
 
 def test_abel_rejects_bad_x(table4):
@@ -294,11 +373,12 @@ def floor_sum_expansion(table, N, U, p, q):
         M(U) floor(Ux)/U - M(N) floor(Nx)/N
           + integral_N^U M(u) floor(ux)/u^2 du - sum_{N<n<=U} mu(n) floor(nx)/n
     """
+    M = mertens_array(table)
     boundary = (
-        int(table.mertens[U]) * (U * p // q) / U
-        - int(table.mertens[N]) * (N * p // q) / N
+        int(M[U]) * (U * p // q) / U
+        - int(M[N]) * (N * p // q) / N
     )
-    pieces = (v.tolist() for v in tails._step_pieces(table, N, U, p, q))
+    pieces = (v.tolist() for v in tails._step_pieces(M[N : U + 1], N, U, p, q))
     floor_integral = math.fsum(
         m * a * p * (1.0 / t0 - 1.0 / t1) for t0, t1, m, a in zip(*pieces)
     )
@@ -311,7 +391,7 @@ def floor_sum_expansion(table, N, U, p, q):
 def test_floor_sum_identity(table4):
     # the jump sum of the Abel identity, checked on its own
     for N, U, p, q in [(10, 50, 1, 2), (3, 97, 5, 7)]:
-        jumps = tails._jump_sum(table4, N, U, p, q)
+        jumps = tails._jump_sum(mertens_array(table4)[N : U + 1], N, U, p, q)
         assert abs(jumps - floor_sum_expansion(table4, N, U, p, q)) < 1e-9
 
 
