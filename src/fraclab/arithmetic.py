@@ -19,9 +19,10 @@ table peaks at its own byte per entry plus one block's scratch.
 
 The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
 sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
-part of the table: ``_jordan2_upto`` and ``_smallest_prime_factors``
-build them to any size, for the gcd-grouped double-sum sweep, and
-``build_jordan2`` returns J2 over a table's range.
+part of the table: ``build_jordan2`` sieves J2 over a table's range, and
+``_smallest_prime_factors`` builds the factors to any size for the
+gcd-grouped double-sum sweep, which derives J2 at the square-free n it
+reaches from them.
 
 A table is frozen and its arrays are read-only, so it is safe to share
 across threads; every function here is a pure read of the arrays.
@@ -33,20 +34,21 @@ only inside the exact gcd-grouped double-sum sweep
 (``series.correlation_double_sum_sweep``), which accumulates them as
 Fractions itself.
 
-``_range_fsums`` gives the correctly rounded sums of a term sequence over
-many prefixes or suffixes in one pass, bit for bit what ``math.fsum``
-over each range's terms gives; the tail integrals and the sine series
-use it.
+``_range_sums`` gives the exact sums of a term sequence over many
+prefixes in one pass, as Fractions; rounded once where they are read,
+a prefix or a tail (the whole sum less a prefix) is bit for bit what
+``math.fsum`` over the range's own terms gives.  The tail integrals and
+the sine series use it.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -70,11 +72,6 @@ class MoebiusTable:
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.limit:
             raise IndexError(f"n={n} outside table range 1..{self.limit}")
-
-
-#: the most recent table only, so ``build_tables(n) is build_tables(n)``
-#: holds without keeping every size a process ever asked for alive
-_table_memo: dict[int, MoebiusTable] = {}
 
 
 def _frozen_table(limit: int, mu: np.ndarray) -> MoebiusTable:
@@ -143,18 +140,12 @@ def build_tables(limit: int) -> MoebiusTable:
     radical(n) divides n, that factor exists exactly when radical(n) < n,
     so no division is needed.  Where a square divides n, mu(n) is already
     0.  The peak is the one-byte-per-entry table plus one block's scratch.
-    Output is deterministic for a given limit; the arrays are read-only,
-    and the most recent table is memoized.
+    Output is deterministic for a given limit, and the array is read-only.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
     if limit > MAX_LIMIT:
         raise ValueError(f"sieve limit {limit} exceeds the {MAX_LIMIT} memory guard")
-    memo = _table_memo.get(limit)
-    if memo is not None:
-        return memo
-    _table_memo.clear()  # let the previous table go before this one is sieved
-
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
@@ -170,21 +161,36 @@ def build_tables(limit: int) -> MoebiusTable:
         large = radical < np.arange(lo, hi, dtype=np.int32)
         block *= 1 - 2 * large.view(np.int8)
 
-    table = _frozen_table(limit, mu)
-    _table_memo[limit] = table
-    return table
+    return _frozen_table(limit, mu)
 
 
-def _jordan2_upto(n: int) -> np.ndarray:
-    """Read-only int64 array of J2(d) for d = 0..n (J2(0) = 0).
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """Read-only int64 array of the smallest prime factor of each k = 0..n
+    (k itself for k < 2 and for the primes).
+
+    Striding the primes p <= isqrt(n) from the largest down, each p
+    claims its multiples from p^2 on, so the smallest one writes last;
+    a k no such p divides is 1 or a prime.
+    """
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in reversed(_primes_upto(math.isqrt(n))):
+        spf[p * p :: p] = p
+    spf.setflags(write=False)
+    return spf
+
+
+def build_jordan2(table: MoebiusTable) -> np.ndarray:
+    """Read-only int64 array of J2(d) for d = 0..table.limit (J2(0) = 0).
 
     J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively, block
     by block (``_blocks``): start from d^2 and, for each prime
     p <= isqrt(n), replace a factor p^2 with p^2 - 1; then the same for
     the one prime q above isqrt(n) that d may have
     (``_large_prime_part``).  The running value stays divisible by p^2 at
-    each division step, so integer arithmetic is exact.
+    each division step, so integer arithmetic is exact.  The table is
+    only read for its limit n; J2 does not depend on mu.
     """
+    n = table.limit
     primes = _primes_upto(math.isqrt(n))
     j2 = np.empty(n + 1, dtype=np.int64)
     j2[0] = 0
@@ -204,29 +210,6 @@ def _jordan2_upto(n: int) -> np.ndarray:
         block *= qq
     j2.setflags(write=False)
     return j2
-
-
-def _smallest_prime_factors(n: int) -> np.ndarray:
-    """Read-only int64 array of the smallest prime factor of each k = 0..n
-    (k itself for k < 2 and for the primes).
-
-    Striding the primes p <= isqrt(n) from the largest down, each p
-    claims its multiples from p^2 on, so the smallest one writes last;
-    a k no such p divides is 1 or a prime.
-    """
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in reversed(_primes_upto(math.isqrt(n))):
-        spf[p * p :: p] = p
-    spf.setflags(write=False)
-    return spf
-
-
-def build_jordan2(table: MoebiusTable) -> np.ndarray:
-    """J2(d) for d = 0..table.limit, as a fresh read-only int64 array.
-
-    The table is only read for its limit; J2 does not depend on mu.
-    """
-    return _jordan2_upto(table.limit)
 
 
 def mertens(table: MoebiusTable, n: int) -> int:
@@ -268,25 +251,28 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-#: terms built per pass of ``_range_fsums``; at most 2^26, the bin size
-#: ``_bin_totals`` sums exactly.  At 2^16 each pass faulted in fresh pages
+#: terms built per pass of ``_range_sums``; at most 2^26, the bin size
+#: ``_exact_total`` sums exactly.  At 2^16 each pass faulted in fresh pages
 #: unless a large free had raised malloc's mmap threshold; 2^14 does not
 _FSUM_CHUNK = 1 << 14
 
-#: the low mantissa bits that ``_bin_totals`` splits off each term
+#: the low mantissa bits that ``_exact_total`` splits off each term
 _LOW_BITS = (1 << 26) - 1
 
+#: 2^1074 times any finite float64 is an integer
+_SUM_SCALE = 1 << 1074
 
-def _bin_totals(terms: np.ndarray) -> list[float]:
-    """Floats, each exact, whose true sum is that of ``terms``.
 
-    Each finite float64 term t, of exponent field e, splits into hi (t
-    with its low 26 mantissa bits cleared) and lo = t - hi, both exact.
-    In one exponent bin the hi parts are multiples of 2^(E-26) below
-    2^(E+1) and the lo parts multiples of 2^(E-52) below 2^(E-26), so a
-    bin of up to 2^26 terms sums both exactly in float64, in any order;
-    ``np.bincount`` does, per exponent.  The nonzero bin totals are
-    returned.
+def _exact_total(terms: np.ndarray) -> int:
+    """The exact sum of the finite float64 ``terms``, times 2^1074.
+
+    Each term t, of exponent field e, splits into hi (t with its low 26
+    mantissa bits cleared) and lo = t - hi, both exact.  In one exponent
+    bin the hi parts are multiples of 2^(E-26) below 2^(E+1) and the lo
+    parts multiples of 2^(E-52) below 2^(E-26), so a bin of up to 2^26
+    terms sums both exactly in float64, in any order; ``np.bincount``
+    does, per exponent.  Each nonzero bin total num/den, den a power of
+    two, adds num << (1075 - den.bit_length()).
     """
     bits = terms.view(np.int64)
     exponent = (bits >> 52) & 0x7FF
@@ -296,59 +282,53 @@ def _bin_totals(terms: np.ndarray) -> list[float]:
     totals = np.concatenate(
         (np.bincount(exponent, hi, 0x800), np.bincount(exponent, terms - hi, 0x800))
     )
-    return totals[totals != 0.0].tolist()
+    total = 0
+    for t in totals[totals != 0.0].tolist():
+        num, den = t.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return total
 
 
-def _range_fsums(
+def _range_sums(
     term: Callable[[int, int], np.ndarray],
     start: int,
-    stop: int,
     bounds: Sequence[int],
-    suffix: bool = False,
     rows: Optional[int] = None,
 ):
-    """``math.fsum`` of the terms over [start, b), or over [b, stop) with
-    ``suffix``, for each b in the strictly increasing ``bounds``.
+    """The exact sums, as Fractions, of the terms over [start, b) for each
+    b in the nondecreasing ``bounds``; an equal pair of bounds is an empty
+    range.
 
     ``term(a, b)`` returns the float64 terms of the indices a..b-1; it is
-    called once per pass of ``_FSUM_CHUNK`` indices, in order, so every
-    term is built once.  With ``rows``, it returns a (rows, b - a) block
-    of that many term sequences instead, and the result is one list of
-    sums per row.  Each pass is cut at the bounds it spans and every
-    piece reduced to its exact bin totals (``_bin_totals``).
-    ``math.fsum`` over the totals of the pieces a range covers rounds
-    their true sum once, which is the value, bit for bit, that
-    ``math.fsum`` over the range's own terms gives.
+    called once per pass of ``_FSUM_CHUNK`` indices, in order, up to the
+    last bound, so every term is built once.  With ``rows``, it returns a
+    (rows, b - a) block of that many term sequences instead, and the
+    result is one list of sums per row.  Each pass is cut at the bounds
+    it spans and every piece reduced to one exact integer
+    (``_exact_total``).  A caller rounds once where it reads a sum:
+    ``float(s)`` is the correctly rounded prefix and ``float(total - s)``
+    the correctly rounded tail, bit for bit what ``math.fsum`` over the
+    range's own terms gives.
     """
-    bounds = list(bounds)
-    edges = [start, *bounds, stop]
-    if any(b <= a for a, b in zip(bounds, bounds[1:])) or not all(
-        start <= b <= stop for b in bounds
-    ):
-        raise AssertionError(
-            f"bounds must strictly increase within {start}..{stop}, got {bounds}"
-        )
+    cuts = [start, *bounds]
+    if any(b < a for a, b in zip(cuts, cuts[1:])):
+        raise AssertionError(f"bounds must not decrease from {start}, got {cuts[1:]}")
     width = 1 if rows is None else rows
-    pieces = [[[] for _ in range(len(edges) - 1)] for _ in range(width)]
-    for s in range(start, stop, _FSUM_CHUNK):
-        e = min(s + _FSUM_CHUNK, stop)
-        terms = term(s, e).reshape(width, e - s)
-        i = bisect.bisect_right(edges, s) - 1
-        while i < len(edges) - 1 and edges[i] < e:
-            a, b = max(edges[i], s), min(edges[i + 1], e)
-            if a < b:
-                for row, row_pieces in zip(terms, pieces):
-                    row_pieces[i] += _bin_totals(row[a - s : b - s])
-            i += 1
-    all_sums = []
-    for row_pieces in pieces:
-        sums: list[float] = []
-        covered: list[float] = []
-        for piece in (row_pieces[:0:-1] if suffix else row_pieces[:-1]):
-            covered += piece
-            sums.append(math.fsum(covered))
-        all_sums.append(sums[::-1] if suffix else sums)
-    return all_sums[0] if rows is None else all_sums
+    totals = [0] * width
+    sums: list[list[Fraction]] = [[] for _ in range(width)]
+    s = e = start  # the pass [s, e) whose terms are in ``block``
+    for a, b in zip(cuts, cuts[1:]):
+        while a < b:
+            if a == e:
+                s, e = e, min(e + _FSUM_CHUNK, cuts[-1])
+                block = term(s, e).reshape(width, e - s)
+            c = min(b, e)
+            for r, row in enumerate(block):
+                totals[r] += _exact_total(row[a - s : c - s])
+            a = c
+        for row_sums, total in zip(sums, totals):
+            row_sums.append(Fraction(total, _SUM_SCALE))
+    return sums[0] if rows is None else sums
 
 
 def save_cache(table: MoebiusTable, path) -> None:

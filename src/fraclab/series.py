@@ -39,12 +39,12 @@ Its truncation error, below N log N 2**-128, is far under half an ulp of
 S(N), so a row is the correctly rounded value of the exact S(N) unless
 S(N) lies that close to a rounding boundary (the tests check every
 N <= 2000).  The sine series is also correctly rounded in its float64
-terms: ``sine_series_partials`` builds them in chunks, reduces each chunk
-to exact per-exponent bin totals and rounds each prefix once with
-``math.fsum`` over those totals (``arithmetic._range_fsums``), which gives
-every grid point in one pass and the same bits as ``math.fsum`` over the
-term list.  The other float paths accumulate in ascending index order
-through ``math.fsum`` (exactly rounded).
+terms: ``sine_series_partials`` builds them in chunks, sums the piece
+between grid points exactly as one integer and rounds each exact prefix
+once (``arithmetic._range_sums``), which gives every grid point in one
+pass and the same bits as ``math.fsum`` over the term list.  The other
+float paths accumulate in ascending index order through ``math.fsum``
+(exactly rounded).
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import (
-    MoebiusTable,
-    _jordan2_upto,
-    _range_fsums,
-    _smallest_prime_factors,
-)
+from .arithmetic import MoebiusTable, _range_sums, _smallest_prime_factors
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -94,7 +89,7 @@ def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
 
 def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> List[float]:
     """-pi sum_{n<=N} mu(n)/n {nx} for each N of the strictly increasing
-    ``Ns``, in one prefix pass over the terms (``_range_fsums``).
+    ``Ns``, in one prefix pass over the terms (``_range_sums``).
 
     Each sum is the correctly rounded value of its float64 terms.  The
     terms of n <= max(Ns) are built once, whatever the number of points.
@@ -108,9 +103,9 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
         return []
     if not math.isfinite(x * Ns[-1]):
         raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
-    sums = _range_fsums(partial(_sine_terms, table, x), 1, Ns[-1] + 1, [N + 1 for N in Ns])
+    sums = _range_sums(partial(_sine_terms, table, x), 1, [N + 1 for N in Ns])
     # 0.0 - pi*s is -pi*s for every nonzero s, and +0.0 (not -0.0) for s = 0
-    return [0.0 - math.pi * s for s in sums]
+    return [0.0 - math.pi * float(s) for s in sums]
 
 
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
@@ -182,7 +177,7 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
 
     mu = table.mu[: n_max + 1].tolist()
     spf = _smallest_prime_factors(n_max).tolist()
-    j2 = _jordan2_upto(n_max).tolist()
+    j2 = [0, 1] + [0] * (n_max - 1)  # J2 at the square-free n reached so far
     four_scale = 4 * scale
     row_den = 12 * scale * scale
     P = D = G = 0
@@ -190,6 +185,9 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     values: List[Value] = []
     for n in range(1, n_max + 1):
         if mu[n]:
+            if n > 1:
+                p = spf[n]
+                j2[n] = (p * p - 1) * j2[n // p]
             nn = n * n
             P += term(mu[n], n)
             delta = term(mu[n], nn)
@@ -215,8 +213,10 @@ def correlation_double_sum_sweep(
 
     Exact modes accumulate Fractions.  Both fast sweeps run one loop:
     each new square-free n updates P, D, G and A_d for every d | n, with
-    divisors from the smallest prime factors to n_max and J2 to n_max
-    (``arithmetic._smallest_prime_factors``, ``arithmetic._jordan2_upto``).
+    divisors from the smallest prime factors to n_max
+    (``arithmetic._smallest_prime_factors``).  The sweep reads J2 only at
+    square-free d, so it sets J2(n) = (p^2 - 1) J2(n/p), p the smallest
+    prime factor, as it reaches each square-free n.
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
     one row of pairs (n, m < n) per square-free n: exact mode fetches

@@ -8,14 +8,17 @@ M(u)/u^2 and M(u)/u over [N, U] are finite sums over unit steps:
 
 Each sum is the correctly rounded value of its float64 terms, the one
 math.fsum over the term list gives, found in one pass: the terms are
-built in chunks and reduced to exact per-exponent bin totals
-(``arithmetic._range_fsums``).  The table holds mu only, so each chunk's
+built in chunks, each piece between bounds is summed exactly as an
+integer, and the exact sum is rounded once where it is read
+(``arithmetic._range_sums``).  The table holds mu only, so each chunk's
 M values are built as they are summed (``_MertensRun``): M(a - 1),
 carried from the chunk before, plus the cumulative sum of mu over the
 chunk.  Every M value is an exact integer, below 2^53, so it is exact in
 float64 too.  ``classical_bound_report`` returns the rows the ``tails``
-command prints, one plain tuple per cutoff, and sums every cutoff's tail
-of both columns in one suffix pass, which also reads M at the cutoffs.
+command prints, one plain tuple per cutoff.  One prefix pass to the
+table limit gives the exact sums of both columns at every cutoff and at
+the limit, and reads M at the cutoffs; each tail is the whole sum less
+its prefix, rounded once.
 
 ``abel_identity_check`` verifies the summation-by-parts expansion of
 sum_{N<n<=U} mu(n)/n {nx} at finite range.  With f(u) = {ux}/u taken
@@ -59,7 +62,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_fsums, _sorted_distinct
+from .arithmetic import MoebiusTable, _range_sums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -125,12 +128,16 @@ def _tail_terms(a: int, b: int, M: np.ndarray, columns: Sequence[_Column]) -> np
     return terms
 
 
+def _tail_sum(N: int, U: int, column: _Column, M: Callable[[int, int], np.ndarray]) -> float:
+    """The correctly rounded sum of ``column`` over k = N..U-1, with
+    ``M(a, b)`` the block M(a..b-1), asked for pass by pass."""
+    (total,) = _range_sums(lambda a, b: _tail_terms(a, b, M(a, b), [column]), N, [U])
+    return float(total)
+
+
 def _tail_integral(table: MoebiusTable, N: int, U: int, column: _Column) -> float:
     _check_range(table, N, U)
-    run = _MertensRun(table, N)
-    return _range_fsums(
-        lambda a, b: _tail_terms(a, b, run(a, b), [column]), N, U, [N], suffix=True
-    )[0]
+    return _tail_sum(N, U, column, _MertensRun(table, N))
 
 
 def tail_integral_u2(table: MoebiusTable, N: int, U: int) -> float:
@@ -223,7 +230,7 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
         int(M[-1]) * ((U * p) % q) / q / U
         - int(M[0]) * ((N * p) % q) / q / N
     )
-    drift = -(p / q) * tail_integral_u1(table, N, U)
+    drift = -(p / q) * _tail_sum(N, U, _u1, lambda a, b: M[a - N : b - N])
     t0, t1, m, a = _step_pieces(M, N, U, p, q)
     # math.log1p per piece: np.log1p may differ from it in the last bit
     logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
@@ -265,8 +272,9 @@ def classical_bound_report(
         table._check_index(N)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
-    # every tail runs to the table limit: one suffix pass for both
-    # columns, and a cutoff at the limit gets the empty sum 0.0
+    # every tail runs to the table limit: one prefix pass for both
+    # columns to the cutoffs and the limit, each tail the whole sum less
+    # its prefix, so a cutoff at the limit gets the empty sum 0.0
     start = cuts[0] if cuts else table.limit
     run = _MertensRun(table, start)
     at = {}  # M at the cutoffs, read from the blocks of the pass
@@ -277,7 +285,10 @@ def classical_bound_report(
             at[N] = int(M[N - a])
         return _tail_terms(a, b, M, [_u2, _u1])
 
-    u2, u1 = _range_fsums(term, start, table.limit, cuts, suffix=True, rows=2)
+    u2, u1 = (
+        [float(row[-1] - s) for s in row[:-1]]
+        for row in _range_sums(term, start, [*cuts, table.limit], rows=2)
+    )
     # the pass stops before the limit, where the last block's M ends
     at[table.limit] = run.last + int(table.mu[table.limit])
     ms = [at[N] for N in cuts]

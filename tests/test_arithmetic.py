@@ -91,15 +91,16 @@ def test_numpy_sieve_matches_linear_sieve():
 
 
 def test_sweep_factor_tables_match_linear_sieve():
-    # the smallest prime factors and J2 the fast sweeps read, at every
-    # limit up to 300, around p^2 for each prime p <= 101, and at 10^5
+    # the smallest prime factors the fast sweeps read and the J2 sieve, at
+    # every limit up to 300, around p^2 for each prime p <= 101, and at 10^5
     limits = list(range(1, 301)) + [10**5]
     for p in sympy.primerange(2, 102):
         limits += [p * p - 1, p * p, p * p + 1]
     _, spf, j2 = (np.array(a, dtype=np.int64) for a in linear_sieve(max(limits)))
     for limit in limits:
         assert np.array_equal(arithmetic._smallest_prime_factors(limit), spf[: limit + 1])
-        assert np.array_equal(arithmetic._jordan2_upto(limit), j2[: limit + 1])
+        table = fraclab.build_tables(limit)
+        assert np.array_equal(fraclab.build_jordan2(table), j2[: limit + 1])
 
 
 @pytest.fixture(scope="module")
@@ -271,16 +272,6 @@ def test_jordan2_divisor_identity(table4):
     assert np.array_equal(acc[1:], (k * k)[1:])
 
 
-def test_build_tables_memoized():
-    assert fraclab.build_tables(123) is fraclab.build_tables(123)
-
-
-def test_memo_keeps_only_the_latest_table():
-    for limit in (1001, 1002, 1003):
-        fraclab.build_tables(limit)
-    assert list(arithmetic._table_memo) == [1003]
-
-
 def test_table_arrays_are_read_only(tmp_path):
     t = fraclab.build_tables(1000)
     path = tmp_path / "sieve.muv"
@@ -316,7 +307,6 @@ def test_table_shape(tmp_path):
     before = {name: np.copy(getattr(t, name)) for name in names}
     j2 = fraclab.build_jordan2(t)
     assert not j2.flags.writeable
-    assert fraclab.build_tables(1000) is t
     assert sorted(vars(t)) == sorted(names)
     for name in names:
         assert np.array_equal(getattr(t, name), before[name]), name
@@ -339,7 +329,6 @@ def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
     # holds (int8 mu) plus, when sieving, the scratch of one block
     path = tmp_path / "sieve.muv"
     fraclab.save_cache(fraclab.build_tables(limit), path)
-    arithmetic._table_memo.clear()
     tracemalloc.start()
     try:
         if source == "sieve":
@@ -357,7 +346,6 @@ def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
 def test_sieve_at_max_limit():
     # opt-in (pytest -m slow): ~0.2 GB peak RSS.  M(10^8) = 1928 is OEIS A084237
     limit = arithmetic.MAX_LIMIT
-    arithmetic._table_memo.clear()
     tracemalloc.start()
     try:
         table = fraclab.build_tables(limit)
@@ -365,8 +353,7 @@ def test_sieve_at_max_limit():
     finally:
         tracemalloc.stop()
     top = fraclab.mertens(table, limit)
-    del table
-    arithmetic._table_memo.clear()  # free the 0.1 GB before asserting
+    del table  # free the 0.1 GB before asserting
     assert top == 1928
     assert peak <= limit + 16 * arithmetic._SIEVE_BLOCK, f"{peak / limit:.2f} B/entry"
 

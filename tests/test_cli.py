@@ -139,6 +139,22 @@ def test_series_exact_naive_300_pinned(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_300_EXACT_SHA256
 
 
+#: sha256 of the stdout of the fast sweep in float and exact mode, which
+#: derives J2 from the smallest prime factors as it goes
+FAST_SWEEP_SHA256 = {
+    "series --n-max 20000": "b311aa80a5c90b9a55b4350cd91e0ba8de8a299e6c22eba2c717151c318db151",
+    "series --n-max 1000 --exact": "afc5dd7a7def70dbf085140485db61f22616ac12c4d53d9f28514be6ba4751f8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAST_SWEEP_SHA256))
+def test_fast_sweep_stdout_pinned(monkeypatch, capsys, command):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    rc, out, err = run_cli(command.split(), capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FAST_SWEEP_SHA256[command]
+
+
 def test_figure1_deterministic(capsys):
     rc1, first, _ = run_cli(["figure1"], capsys)
     rc2, second, _ = run_cli(["figure1"], capsys)

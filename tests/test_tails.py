@@ -1,5 +1,6 @@
 """Step-function tail integrals and the finite Abel-summation identities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -72,10 +73,22 @@ def term_arrays(draw):
     return np.array(draw(st.permutations(xs)), dtype=np.float64)
 
 
+def prefixes_and_tails(term, start, bounds, rows=None):
+    """float(s) and float(total - s) for each bound, the total to the
+    last bound: how the callers read ``_range_sums``."""
+    sums = arithmetic._range_sums(term, start, bounds, rows)
+    for row in sums if rows else [sums]:
+        assert all(isinstance(s, Fraction) for s in row)
+    read = lambda row: ([float(s) for s in row], [float(row[-1] - s) for s in row])  # noqa: E731
+    return [read(row) for row in sums] if rows else read(sums)
+
+
 @given(term_arrays(), st.data(), st.sampled_from([1, 2, 7, 1 << 16]))
 def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
     start = data.draw(st.integers(0, len(x)))
-    bounds = sorted(data.draw(st.sets(st.integers(start, len(x)), max_size=8)))
+    # bounds may repeat and may reach the end of the terms
+    bounds = sorted(data.draw(st.lists(st.integers(start, len(x)), min_size=1, max_size=8)))
+    stop = bounds[-1]
     built = []
 
     def term(a, b):
@@ -88,18 +101,17 @@ def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
         return np.stack((x[a:b], y[a:b]))
 
     with mock.patch.object(arithmetic, "_FSUM_CHUNK", chunk):
-        prefix = arithmetic._range_fsums(term, start, len(x), bounds)
-        suffix = arithmetic._range_fsums(term, start, len(x), bounds, suffix=True)
-        rows = arithmetic._range_fsums(two_rows, start, len(x), bounds, suffix=True, rows=2)
+        prefix, tail = prefixes_and_tails(term, start, bounds)
+        rows = prefixes_and_tails(two_rows, start, bounds, rows=2)
     assert bits(prefix) == bits(math.fsum(x[start:b].tolist()) for b in bounds)
-    assert bits(suffix) == bits(math.fsum(x[b:].tolist()) for b in bounds)
-    # each pass builds every term once, one chunk at a time
-    once = [(a, min(a + chunk, len(x))) for a in range(start, len(x), chunk)]
-    assert built == once + once
+    assert bits(tail) == bits(math.fsum(x[b:stop].tolist()) for b in bounds)
+    # the pass builds every term up to the last bound once, one chunk at a time
+    assert built == [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     # a block of rows sums each row as its own term sequence
     assert len(rows) == 2
-    assert bits(rows[0]) == bits(suffix)
-    assert bits(rows[1]) == bits(math.fsum(y[b:].tolist()) for b in bounds)
+    assert bits(rows[0][0]) == bits(prefix) and bits(rows[0][1]) == bits(tail)
+    assert bits(rows[1][0]) == bits(math.fsum(y[start:b].tolist()) for b in bounds)
+    assert bits(rows[1][1]) == bits(math.fsum(y[b:stop].tolist()) for b in bounds)
 
 
 def test_range_fsums_full_chunks_in_one_binade():
@@ -107,27 +119,54 @@ def test_range_fsums_full_chunks_in_one_binade():
     c = arithmetic._FSUM_CHUNK
     x = 1.0 + np.random.default_rng(5).random(3 * c + 17)
     x[::3] *= -1.0
-    bounds = [0, 1, c - 1, c, c + 1, 2 * c + 5, len(x)]
-    term = lambda a, b: x[a:b]  # noqa: E731
-    assert bits(arithmetic._range_fsums(term, 0, len(x), bounds)) == bits(
-        math.fsum(x[:b].tolist()) for b in bounds
+    bounds = [0, 1, c - 1, c, c, c + 1, 2 * c + 5, len(x), len(x)]
+    prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
+    assert bits(prefix) == bits(math.fsum(x[:b].tolist()) for b in bounds)
+    assert bits(tail) == bits(math.fsum(x[b:].tolist()) for b in bounds)
+
+
+def test_range_fsums_subnormals_and_signed_zeros():
+    x = np.array(
+        [-0.0, 5e-324, -0.0, -5e-324, 2.0**-1022, -(2.0**-1074) * 3, 0.0, 1.0, -1.0,
+         2.0**-1060, -0.0, 2.0**900, -(2.0**900), 5e-324]
     )
-    assert bits(arithmetic._range_fsums(term, 0, len(x), bounds, suffix=True)) == bits(
-        math.fsum(x[b:].tolist()) for b in bounds
-    )
+    bounds = list(range(len(x) + 1)) + [len(x)]
+    for chunk in (1, 3, 1 << 14):
+        with mock.patch.object(arithmetic, "_FSUM_CHUNK", chunk):
+            prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
+        assert bits(prefix) == bits(math.fsum(x[:b].tolist()) for b in bounds)
+        assert bits(tail) == bits(math.fsum(x[b:].tolist()) for b in bounds)
+    # an all-zero range of -0.0 terms reads +0.0, as math.fsum gives
+    assert bits(prefix[:1] + tail[-2:]) == bits([0.0, 0.0, 0.0])
+
+
+def test_range_fsums_on_a_dense_grid():
+    # 2 * 10^4 bounds over 3 * 10^4 terms of mixed scale: most pieces are
+    # a term or two, many empty
+    rng = np.random.default_rng(11)
+    n = 30_000
+    x = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+    bounds = np.sort(rng.integers(0, n + 1, 20_000)).tolist() + [n]
+    sums = arithmetic._range_sums(lambda a, b: x[a:b], 0, bounds)
+    exact = list(itertools.accumulate(map(Fraction, x.tolist()), initial=Fraction(0)))
+    assert sums == [exact[b] for b in bounds]
+    prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
+    picks = slice(None, None, 97)
+    assert bits(prefix[picks]) == bits(math.fsum(x[:b].tolist()) for b in bounds[picks])
+    assert bits(tail[picks]) == bits(math.fsum(x[b:].tolist()) for b in bounds[picks])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_range_fsums_reject_non_finite_terms(bad):
     x = np.array([1.0, 2.0, bad, 3.0])
     with pytest.raises(AssertionError, match="not finite"):
-        arithmetic._range_fsums(lambda a, b: x[a:b], 0, 4, [0], suffix=True)
+        arithmetic._range_sums(lambda a, b: x[a:b], 0, [0, 4])
 
 
-@pytest.mark.parametrize("bounds", [[3, 3], [5, 4], [0], [11]])
+@pytest.mark.parametrize("bounds", [[5, 4], [0], [3, 2, 7], [2, 9, 8]])
 def test_range_fsums_reject_bad_bounds(bounds):
     with pytest.raises(AssertionError, match="bounds"):
-        arithmetic._range_fsums(lambda a, b: np.ones(b - a), 1, 10, bounds)
+        arithmetic._range_sums(lambda a, b: np.ones(b - a), 1, bounds)
 
 
 # -- M built from mu where it is read, against one whole-length cumsum
@@ -149,7 +188,7 @@ def test_mertens_from_mu_matches_cumsum(table6, points):
     M = mertens_array(table6)
     points = sorted(points)
     start, stop = points[0], points[-1]
-    # carried blocks, asked for chunk by chunk as _range_fsums does
+    # carried blocks, asked for chunk by chunk as _range_sums does
     run = tails._MertensRun(table6, start)
     assert run.last == M[start - 1]
     blocks = [run(a, min(a + CHUNK, stop)) for a in range(start, stop, CHUNK)]
@@ -185,8 +224,10 @@ def test_abel_shares_mertens_from_mu(table6, N, width):
     U = min(N + width, LIMIT6)
     assume(N < U)
     with mock.patch.object(tails, "_jump_sum", wraps=tails._jump_sum) as jump, \
-            mock.patch.object(tails, "_step_pieces", wraps=tails._step_pieces) as steps:
+            mock.patch.object(tails, "_step_pieces", wraps=tails._step_pieces) as steps, \
+            mock.patch.object(tails, "_MertensRun", wraps=tails._MertensRun) as runs:
         assert fraclab.abel_identity_check(table6, N, U, Fraction(1, 7)) < 1e-9
+    assert runs.call_count == 1  # the drift term sums over the same M
     shared = jump.call_args.args[0]
     assert steps.call_args.args[0] is shared  # built once per call
     assert np.array_equal(shared, mertens_array(table6)[N : U + 1])
@@ -433,6 +474,6 @@ def test_report_validation(table4):
     ],
 )
 def test_report_rejects_before_summing(monkeypatch, table4, cutoffs, c, error):
-    monkeypatch.setattr(tails, "_range_fsums", None)  # nothing may be summed
+    monkeypatch.setattr(tails, "_range_sums", None)  # nothing may be summed
     with pytest.raises(error):
         fraclab.classical_bound_report(table4, cutoffs, c)
