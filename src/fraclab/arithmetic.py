@@ -19,10 +19,11 @@ table peaks at its own byte per entry plus one block's scratch.
 
 The Jordan totient J2, with J2(d) = d**2 * prod_{p|d} (1 - 1/p**2) and
 sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
-part of the table: ``build_jordan2`` sieves J2 over a table's range, and
-``_smallest_prime_factors`` builds the factors to any size for the
-gcd-grouped double-sum sweep, which derives J2 at the square-free n it
-reaches from them.
+part of the table.  ``_smallest_factors`` builds the factors over any
+range, and J2 has one method: J2(d) = J2(d/p) (p**2 - [p does not divide
+d/p]), p the smallest prime factor of d.  ``build_jordan2`` runs it over
+a table's range, and the gcd-grouped double-sum sweep at the square-free
+n it reaches.
 
 A table is frozen and its arrays are read-only, so it is safe to share
 across threads; every function here is a pure read of the arrays.
@@ -35,10 +36,10 @@ only inside the exact gcd-grouped double-sum sweep
 Fractions itself.
 
 ``_range_sums`` gives the exact sums of a term sequence over many
-prefixes in one pass, as Fractions; rounded once where they are read,
-a prefix or a tail (the whole sum less a prefix) is bit for bit what
-``math.fsum`` over the range's own terms gives.  The tail integrals and
-the sine series use it.
+prefixes in one pass, as integers scaled by 2^1074; rounded once where
+they are read, a prefix or a tail (the whole sum less a prefix) is bit
+for bit what ``math.fsum`` over the range's own terms gives.  The tail
+integrals and the sine series use it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,47 +90,18 @@ def _primes_upto(n: int) -> list[int]:
 
 #: entries sieved per block.  Every block makes a few numpy calls per
 #: prime p <= isqrt(limit), so the Python cost grows with the number of
-#: blocks; the scratch (int32 radical and index arrays for mu, int64 and
-#: int32 arrays for J2) grows with the block.  A 10^7 sieve took 0.52,
+#: blocks; the scratch (int32 radical and index arrays for mu; int32
+#: factor and cofactor arrays, an int64 factor and the gathered int64
+#: J2(d/p) for J2) grows with the block.  A 10^7 sieve took 0.52,
 #: 0.19 and 0.17 s at 2^16, 2^18 and 2^20, at 38.8, 40.8 and 48.3 MB
 #: peak RSS (2-core x86-64 VM, numpy 2.4.6)
 _SIEVE_BLOCK = 1 << 18
 
 
-def _blocks(limit: int) -> Iterator[tuple[int, int]]:
-    """The half-open blocks [lo, hi) of at most ``_SIEVE_BLOCK`` indices
-    that cover 1..limit, in order.  Index 0 belongs to no block, so no
-    stride of a prime touches it: its int32 radical would wrap."""
-    for lo in range(1, limit + 1, _SIEVE_BLOCK):
-        yield lo, min(lo + _SIEVE_BLOCK, limit + 1)
-
-
-def _large_prime_part(lo: int, hi: int, primes: list[int]) -> np.ndarray:
-    """int32 array whose i-th entry is the prime factor of n = lo + i above
-    the largest of ``primes``, or 1 when n has none, for lo <= n < hi.
-
-    ``primes`` are the primes up to isqrt(limit), for some limit >= hi - 1,
-    and lo >= 1.  Multiplying p into the block's multiples of each power
-    p^k < hi builds the isqrt(limit)-smooth part s(n) of n; it divides
-    n <= MAX_LIMIT, so int32 holds it.  Two primes above isqrt(limit)
-    would multiply to more than limit, so n / s(n) is 1 or a single prime.
-    Unlike the radical that ``build_tables`` uses, s(n) covers every
-    prime power, so the quotient is right for n that are not square-free
-    too, as J2 needs.
-    """
-    smooth = np.ones(hi - lo, dtype=np.int32)
-    for p in primes:
-        q = p
-        while q < hi:
-            smooth[-lo % q :: q] *= p
-            q *= p
-    rest = np.arange(lo, hi, dtype=np.int32)
-    rest //= smooth
-    return rest
-
-
 def build_tables(limit: int) -> MoebiusTable:
-    """Sieve mu up to ``limit``, one block (``_blocks``) at a time.
+    """Sieve mu up to ``limit``, one block [lo, hi) of at most
+    ``_SIEVE_BLOCK`` indices at a time.  Index 0 belongs to no block, so
+    no stride of a prime touches it: its int32 radical would wrap.
 
     In a block, each prime p <= isqrt(limit) negates mu on its multiples,
     clears mu on the multiples of p^2, and multiplies p into an int32
@@ -149,7 +120,8 @@ def build_tables(limit: int) -> MoebiusTable:
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for lo, hi in _blocks(limit):
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
         block = mu[lo:hi]
         radical = np.ones(hi - lo, dtype=np.int32)
         for p in primes:
@@ -164,50 +136,45 @@ def build_tables(limit: int) -> MoebiusTable:
     return _frozen_table(limit, mu)
 
 
-def _smallest_prime_factors(n: int) -> np.ndarray:
-    """Read-only int64 array of the smallest prime factor of each k = 0..n
-    (k itself for k < 2 and for the primes).
+def _smallest_factors(lo: int, hi: int, dtype) -> np.ndarray:
+    """Array of ``dtype`` whose i-th entry is the smallest prime factor of
+    k = lo + i, for 0 <= lo <= k < hi (k itself for k < 2 and for the
+    primes).
 
-    Striding the primes p <= isqrt(n) from the largest down, each p
-    claims its multiples from p^2 on, so the smallest one writes last;
-    a k no such p divides is 1 or a prime.
+    Striding the primes p <= isqrt(hi - 1) from the largest down, each p
+    claims its multiples in the range from max(p^2, ceil(lo/p) p) on, so
+    the smallest one writes last; a k no such p claims is 0, 1 or a prime.
     """
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in reversed(_primes_upto(math.isqrt(n))):
-        spf[p * p :: p] = p
-    spf.setflags(write=False)
+    spf = np.arange(lo, hi, dtype=dtype)
+    for p in reversed(_primes_upto(math.isqrt(hi - 1))):
+        spf[max(p * p, -(-lo // p) * p) - lo :: p] = p
     return spf
 
 
 def build_jordan2(table: MoebiusTable) -> np.ndarray:
     """Read-only int64 array of J2(d) for d = 0..table.limit (J2(0) = 0).
 
-    J2(d) = d^2 prod_{p|d} (1 - 1/p^2), computed multiplicatively, block
-    by block (``_blocks``): start from d^2 and, for each prime
-    p <= isqrt(n), replace a factor p^2 with p^2 - 1; then the same for
-    the one prime q above isqrt(n) that d may have
-    (``_large_prime_part``).  The running value stays divisible by p^2 at
-    each division step, so integer arithmetic is exact.  The table is
-    only read for its limit n; J2 does not depend on mu.
+    With p the smallest prime factor of d > 1 (``_smallest_factors``) and
+    r = d/p, J2(d) = J2(r) (p^2 - 1) when p does not divide r and
+    J2(r) p^2 when it does.  The recurrence runs over blocks [lo, hi) with
+    hi <= min(2 lo, lo + ``_SIEVE_BLOCK``), so every r <= d/2 lies below
+    lo and is already final.  p and r are int32 (d <= MAX_LIMIT < 2^31).
+    The table is only read for its limit n; J2 does not depend on mu.
     """
     n = table.limit
-    primes = _primes_upto(math.isqrt(n))
     j2 = np.empty(n + 1, dtype=np.int64)
-    j2[0] = 0
-    for lo, hi in _blocks(n):
-        block = j2[lo:hi]
-        d = np.arange(lo, hi, dtype=np.int64)
-        np.multiply(d, d, out=block)
-        for p in primes:
-            pp = p * p
-            multiples = block[-lo % p :: p]
-            multiples //= pp
-            multiples *= pp - 1
-        qq = _large_prime_part(lo, hi, primes).astype(np.int64)
-        qq *= qq
-        block //= qq
-        qq -= qq > 1  # q^2 - 1 for a large prime q; 1 when there is none
-        block *= qq
+    j2[:2] = 0, 1
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + _SIEVE_BLOCK, n + 1)
+        p = _smallest_factors(lo, hi, np.int32)
+        r = np.arange(lo, hi, dtype=np.int32)
+        r //= p
+        factor = p.astype(np.int64)
+        factor *= factor
+        factor -= r % p != 0
+        np.multiply(j2[r], factor, out=j2[lo:hi])
+        lo = hi
     j2.setflags(write=False)
     return j2
 
@@ -295,9 +262,9 @@ def _range_sums(
     bounds: Sequence[int],
     rows: Optional[int] = None,
 ):
-    """The exact sums, as Fractions, of the terms over [start, b) for each
-    b in the nondecreasing ``bounds``; an equal pair of bounds is an empty
-    range.
+    """The exact sums of the terms over [start, b), times 2^1074
+    (``_SUM_SCALE``) as integers, for each b in the nondecreasing
+    ``bounds``; an equal pair of bounds is an empty range.
 
     ``term(a, b)`` returns the float64 terms of the indices a..b-1; it is
     called once per pass of ``_FSUM_CHUNK`` indices, in order, up to the
@@ -306,16 +273,17 @@ def _range_sums(
     result is one list of sums per row.  Each pass is cut at the bounds
     it spans and every piece reduced to one exact integer
     (``_exact_total``).  A caller rounds once where it reads a sum:
-    ``float(s)`` is the correctly rounded prefix and ``float(total - s)``
-    the correctly rounded tail, bit for bit what ``math.fsum`` over the
-    range's own terms gives.
+    ``s / _SUM_SCALE`` is the correctly rounded prefix and
+    ``(total - s) / _SUM_SCALE`` the correctly rounded tail, bit for bit
+    what ``math.fsum`` over the range's own terms gives, as Python's
+    int/int true division rounds correctly.
     """
     cuts = [start, *bounds]
     if any(b < a for a, b in zip(cuts, cuts[1:])):
         raise AssertionError(f"bounds must not decrease from {start}, got {cuts[1:]}")
     width = 1 if rows is None else rows
     totals = [0] * width
-    sums: list[list[Fraction]] = [[] for _ in range(width)]
+    sums: list[list[int]] = [[] for _ in range(width)]
     s = e = start  # the pass [s, e) whose terms are in ``block``
     for a, b in zip(cuts, cuts[1:]):
         while a < b:
@@ -327,7 +295,7 @@ def _range_sums(
                 totals[r] += _exact_total(row[a - s : c - s])
             a = c
         for row_sums, total in zip(sums, totals):
-            row_sums.append(Fraction(total, _SUM_SCALE))
+            row_sums.append(total)
     return sums[0] if rows is None else sums
 
 

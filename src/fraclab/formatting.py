@@ -25,8 +25,6 @@ def format_decimal(value, digits: int = 15) -> str:
             ctx.prec = digits
             ctx.rounding = decimal.ROUND_HALF_EVEN
             return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
-    if isinstance(value, int):
-        return str(value)
     return "%.*g" % (digits, float(value))
 
 

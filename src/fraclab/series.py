@@ -56,7 +56,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_sums, _smallest_prime_factors
+from .arithmetic import MoebiusTable, _SUM_SCALE, _range_sums, _smallest_factors, mertens
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -105,7 +105,7 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
         raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
     sums = _range_sums(partial(_sine_terms, table, x), 1, [N + 1 for N in Ns])
     # 0.0 - pi*s is -pi*s for every nonzero s, and +0.0 (not -0.0) for s = 0
-    return [0.0 - math.pi * float(s) for s in sums]
+    return [0.0 - math.pi * (s / _SUM_SCALE) for s in sums]
 
 
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
@@ -176,7 +176,7 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
             return (2 * num * scale + den) // (2 * den)
 
     mu = table.mu[: n_max + 1].tolist()
-    spf = _smallest_prime_factors(n_max).tolist()
+    spf = _smallest_factors(0, n_max + 1, np.int32).tolist()
     j2 = [0, 1] + [0] * (n_max - 1)  # J2 at the square-free n reached so far
     four_scale = 4 * scale
     row_den = 12 * scale * scale
@@ -214,9 +214,10 @@ def correlation_double_sum_sweep(
     Exact modes accumulate Fractions.  Both fast sweeps run one loop:
     each new square-free n updates P, D, G and A_d for every d | n, with
     divisors from the smallest prime factors to n_max
-    (``arithmetic._smallest_prime_factors``).  The sweep reads J2 only at
+    (``arithmetic._smallest_factors``).  The sweep reads J2 only at
     square-free d, so it sets J2(n) = (p^2 - 1) J2(n/p), p the smallest
-    prime factor, as it reaches each square-free n.
+    prime factor, as it reaches each square-free n: the recurrence of
+    ``arithmetic.build_jordan2`` where p never divides n/p.
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
     one row of pairs (n, m < n) per square-free n: exact mode fetches
@@ -310,7 +311,7 @@ def residual_moment_report(table: MoebiusTable, N: int) -> Fraction:
         k = L // n
         for t in range(k, L + 1, k):
             jumps[t] = jumps.get(t, 0) + mu[n] * k
-    M = sum(mu)
+    M = mertens(table, N)
     total = t0 = c = 0
     for t1 in sorted(jumps):
         a, b = M * t0 - c, M * t1 - c

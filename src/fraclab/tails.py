@@ -62,7 +62,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_sums, _sorted_distinct
+from .arithmetic import MoebiusTable, _SUM_SCALE, _range_sums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -132,7 +132,7 @@ def _tail_sum(N: int, U: int, column: _Column, M: Callable[[int, int], np.ndarra
     """The correctly rounded sum of ``column`` over k = N..U-1, with
     ``M(a, b)`` the block M(a..b-1), asked for pass by pass."""
     (total,) = _range_sums(lambda a, b: _tail_terms(a, b, M(a, b), [column]), N, [U])
-    return float(total)
+    return total / _SUM_SCALE
 
 
 def _tail_integral(table: MoebiusTable, N: int, U: int, column: _Column) -> float:
@@ -286,7 +286,7 @@ def classical_bound_report(
         return _tail_terms(a, b, M, [_u2, _u1])
 
     u2, u1 = (
-        [float(row[-1] - s) for s in row[:-1]]
+        [(row[-1] - s) / _SUM_SCALE for s in row[:-1]]
         for row in _range_sums(term, start, [*cuts, table.limit], rows=2)
     )
     # the pass stops before the limit, where the last block's M ends

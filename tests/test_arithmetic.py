@@ -98,9 +98,25 @@ def test_sweep_factor_tables_match_linear_sieve():
         limits += [p * p - 1, p * p, p * p + 1]
     _, spf, j2 = (np.array(a, dtype=np.int64) for a in linear_sieve(max(limits)))
     for limit in limits:
-        assert np.array_equal(arithmetic._smallest_prime_factors(limit), spf[: limit + 1])
+        spf_limit = arithmetic._smallest_factors(0, limit + 1, np.int64)
+        assert np.array_equal(spf_limit, spf[: limit + 1])
         table = fraclab.build_tables(limit)
         assert np.array_equal(fraclab.build_jordan2(table), j2[: limit + 1])
+
+
+@given(
+    lo=st.integers(0, 3 * arithmetic._SIEVE_BLOCK),
+    width=st.integers(1, 2 * arithmetic._SIEVE_BLOCK),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@example(lo=0, width=1, dtype=np.int32)
+@example(lo=1, width=1, dtype=np.int64)
+@example(lo=arithmetic._SIEVE_BLOCK, width=arithmetic._SIEVE_BLOCK, dtype=np.int32)
+def test_smallest_factors_of_a_range_match_the_whole_range(lo, width, dtype):
+    hi = lo + width
+    spf = arithmetic._smallest_factors(lo, hi, dtype)
+    assert spf.dtype == dtype
+    assert np.array_equal(spf, arithmetic._smallest_factors(0, hi, np.int64)[lo:])
 
 
 @pytest.fixture(scope="module")
@@ -108,16 +124,17 @@ def jordan2_6(table6):
     return fraclab.build_jordan2(table6)
 
 
+def at_block_edges(test):
+    # the mu sieve's block edges, and 2^j - 1, 2^j and 2^j + 1, where the
+    # J2 recurrence's doubling blocks end
+    powers = {2**j + i for j in range(1, 20) for i in (-1, 0, 1)}
+    for n in sorted(set(BLOCK_EDGES) | powers):
+        test = example(n=n)(test)
+    return test
+
+
 @given(n=st.integers(1, 10**6))
-@example(n=BLOCK_EDGES[0])
-@example(n=BLOCK_EDGES[1])
-@example(n=BLOCK_EDGES[2])
-@example(n=BLOCK_EDGES[3])
-@example(n=BLOCK_EDGES[4])
-@example(n=BLOCK_EDGES[5])
-@example(n=BLOCK_EDGES[6])
-@example(n=BLOCK_EDGES[7])
-@example(n=BLOCK_EDGES[8])
+@at_block_edges
 def test_sieve_and_jordan2_match_factorint(table6, jordan2_6, n):
     factors = sympy.factorint(n)
     squarefree = all(e == 1 for e in factors.values())
@@ -300,7 +317,7 @@ def test_table_shape(tmp_path):
         assert table.mu.nbytes == table.limit + 1
         assert fraclab.mertens(table, table.limit) == np.cumsum(table.mu, dtype=np.int64)[-1]
     assert arithmetic.MAX_LIMIT < 2**31, (
-        "the sieve's int32 radical and smooth-part arrays hold divisors of n <= MAX_LIMIT"
+        "the sieve's int32 radical, factor and cofactor arrays hold divisors of n <= MAX_LIMIT"
     )
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.mu = loaded.mu
@@ -322,19 +339,30 @@ def test_table_shape(tmp_path):
         pytest.param(
             "sieve", 4 * 10**6, 4 * 10**6 + 16 * arithmetic._SIEVE_BLOCK, id="sieve-4e6"
         ),
+        # the int64 result plus one block of recurrence scratch
+        pytest.param(
+            "jordan2",
+            4 * 10**6,
+            8 * (4 * 10**6 + 1) + 28 * arithmetic._SIEVE_BLOCK,
+            id="jordan2-4e6",
+        ),
     ],
 )
 def test_table_peak_memory_per_entry(tmp_path, source, limit, bound):
     # numpy reports its buffers to tracemalloc: the one byte an entry
-    # holds (int8 mu) plus, when sieving, the scratch of one block
+    # holds (int8 mu), or the eight of J2 (int64), plus, when sieving or
+    # building J2, the scratch of one block
     path = tmp_path / "sieve.muv"
-    fraclab.save_cache(fraclab.build_tables(limit), path)
+    table = fraclab.build_tables(limit)
+    fraclab.save_cache(table, path)
     tracemalloc.start()
     try:
         if source == "sieve":
             table = fraclab.build_tables(limit)
-        else:
+        elif source == "cache":
             table = fraclab.load_cache(path, prefix=limit)
+        else:
+            assert fraclab.build_jordan2(table).shape == (limit + 1,)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -74,12 +74,16 @@ def term_arrays(draw):
 
 
 def prefixes_and_tails(term, start, bounds, rows=None):
-    """float(s) and float(total - s) for each bound, the total to the
-    last bound: how the callers read ``_range_sums``."""
+    """s / 2^1074 and (total - s) / 2^1074 for each bound, the total to
+    the last bound: how the callers read ``_range_sums``."""
     sums = arithmetic._range_sums(term, start, bounds, rows)
     for row in sums if rows else [sums]:
-        assert all(isinstance(s, Fraction) for s in row)
-    read = lambda row: ([float(s) for s in row], [float(row[-1] - s) for s in row])  # noqa: E731
+        assert all(type(s) is int for s in row)
+    scale = arithmetic._SUM_SCALE
+
+    def read(row):
+        return [s / scale for s in row], [(row[-1] - s) / scale for s in row]
+
     return [read(row) for row in sums] if rows else read(sums)
 
 
@@ -149,7 +153,7 @@ def test_range_fsums_on_a_dense_grid():
     bounds = np.sort(rng.integers(0, n + 1, 20_000)).tolist() + [n]
     sums = arithmetic._range_sums(lambda a, b: x[a:b], 0, bounds)
     exact = list(itertools.accumulate(map(Fraction, x.tolist()), initial=Fraction(0)))
-    assert sums == [exact[b] for b in bounds]
+    assert sums == [exact[b] * arithmetic._SUM_SCALE for b in bounds]
     prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
     picks = slice(None, None, 97)
     assert bits(prefix[picks]) == bits(math.fsum(x[:b].tolist()) for b in bounds[picks])
