@@ -35,10 +35,10 @@ only inside the exact gcd-grouped double-sum sweep
 (``series.correlation_double_sum_sweep``), which accumulates them as
 Fractions itself.
 
-``_range_sums`` gives the exact sums of a term sequence over many
-prefixes in one pass, as integers scaled by 2^1074; rounded once where
-they are read, a prefix or a tail (the whole sum less a prefix) is bit
-for bit what ``math.fsum`` over the range's own terms gives.  The tail
+``_range_sums`` sums a term sequence exactly over many prefixes in one
+pass, as integers scaled by 2^1074, and rounds each prefix or tail (the
+whole sum less a prefix) once: bit for bit what ``math.fsum`` over the
+range's own terms gives.  The tail
 integrals and the sine series use it.
 """
 
@@ -136,8 +136,8 @@ def build_tables(limit: int) -> MoebiusTable:
     return _frozen_table(limit, mu)
 
 
-def _smallest_factors(lo: int, hi: int, dtype) -> np.ndarray:
-    """Array of ``dtype`` whose i-th entry is the smallest prime factor of
+def _smallest_factors(lo: int, hi: int) -> np.ndarray:
+    """int32 array whose i-th entry is the smallest prime factor of
     k = lo + i, for 0 <= lo <= k < hi (k itself for k < 2 and for the
     primes).
 
@@ -145,7 +145,7 @@ def _smallest_factors(lo: int, hi: int, dtype) -> np.ndarray:
     claims its multiples in the range from max(p^2, ceil(lo/p) p) on, so
     the smallest one writes last; a k no such p claims is 0, 1 or a prime.
     """
-    spf = np.arange(lo, hi, dtype=dtype)
+    spf = np.arange(lo, hi, dtype=np.int32)
     for p in reversed(_primes_upto(math.isqrt(hi - 1))):
         spf[max(p * p, -(-lo // p) * p) - lo :: p] = p
     return spf
@@ -167,7 +167,7 @@ def build_jordan2(table: MoebiusTable) -> np.ndarray:
     lo = 2
     while lo <= n:
         hi = min(2 * lo, lo + _SIEVE_BLOCK, n + 1)
-        p = _smallest_factors(lo, hi, np.int32)
+        p = _smallest_factors(lo, hi)
         r = np.arange(lo, hi, dtype=np.int32)
         r //= p
         factor = p.astype(np.int64)
@@ -261,10 +261,11 @@ def _range_sums(
     start: int,
     bounds: Sequence[int],
     rows: Optional[int] = None,
+    tails: bool = False,
 ):
-    """The exact sums of the terms over [start, b), times 2^1074
-    (``_SUM_SCALE``) as integers, for each b in the nondecreasing
-    ``bounds``; an equal pair of bounds is an empty range.
+    """The correctly rounded sums of the terms over [start, b) for each b
+    in the nondecreasing ``bounds``, or with ``tails`` over [b, last
+    bound); an equal pair of bounds is an empty range.
 
     ``term(a, b)`` returns the float64 terms of the indices a..b-1; it is
     called once per pass of ``_FSUM_CHUNK`` indices, in order, up to the
@@ -272,11 +273,9 @@ def _range_sums(
     (rows, b - a) block of that many term sequences instead, and the
     result is one list of sums per row.  Each pass is cut at the bounds
     it spans and every piece reduced to one exact integer
-    (``_exact_total``).  A caller rounds once where it reads a sum:
-    ``s / _SUM_SCALE`` is the correctly rounded prefix and
-    ``(total - s) / _SUM_SCALE`` the correctly rounded tail, bit for bit
-    what ``math.fsum`` over the range's own terms gives, as Python's
-    int/int true division rounds correctly.
+    (``_exact_total``).  Each prefix, or the whole sum less a prefix, is
+    rounded once by Python's int / int division, which rounds correctly:
+    bit for bit what ``math.fsum`` over the range's own terms gives.
     """
     cuts = [start, *bounds]
     if any(b < a for a, b in zip(cuts, cuts[1:])):
@@ -296,7 +295,8 @@ def _range_sums(
             a = c
         for row_sums, total in zip(sums, totals):
             row_sums.append(total)
-    return sums[0] if rows is None else sums
+    read = [[((row[-1] - s) if tails else s) / _SUM_SCALE for s in row] for row in sums]
+    return read[0] if rows is None else read
 
 
 def save_cache(table: MoebiusTable, path) -> None:

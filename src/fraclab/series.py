@@ -56,7 +56,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _SUM_SCALE, _range_sums, _smallest_factors, mertens
+from .arithmetic import MoebiusTable, _range_sums, _smallest_factors, mertens
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -105,7 +105,7 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
         raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
     sums = _range_sums(partial(_sine_terms, table, x), 1, [N + 1 for N in Ns])
     # 0.0 - pi*s is -pi*s for every nonzero s, and +0.0 (not -0.0) for s = 0
-    return [0.0 - math.pi * (s / _SUM_SCALE) for s in sums]
+    return [0.0 - math.pi * s for s in sums]
 
 
 def sine_series_partial(table: MoebiusTable, N: int, x: float) -> float:
@@ -176,7 +176,7 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
             return (2 * num * scale + den) // (2 * den)
 
     mu = table.mu[: n_max + 1].tolist()
-    spf = _smallest_factors(0, n_max + 1, np.int32).tolist()
+    spf = _smallest_factors(0, n_max + 1).tolist()
     j2 = [0, 1] + [0] * (n_max - 1)  # J2 at the square-free n reached so far
     four_scale = 4 * scale
     row_den = 12 * scale * scale

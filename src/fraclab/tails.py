@@ -9,11 +9,10 @@ M(u)/u^2 and M(u)/u over [N, U] are finite sums over unit steps:
 Each sum is the correctly rounded value of its float64 terms, the one
 math.fsum over the term list gives, found in one pass: the terms are
 built in chunks, each piece between bounds is summed exactly as an
-integer, and the exact sum is rounded once where it is read
-(``arithmetic._range_sums``).  The table holds mu only, so each chunk's
-M values are built as they are summed (``_MertensRun``): M(a - 1),
-carried from the chunk before, plus the cumulative sum of mu over the
-chunk.  Every M value is an exact integer, below 2^53, so it is exact in
+integer, and the exact sum is rounded once (``arithmetic._range_sums``).
+The table holds mu only, so each chunk's M values are built as they are
+summed (``_MertensRun``): M(a - 1), carried from the chunk before, plus
+the cumulative sum of mu over the chunk.  Every M value is an exact integer, below 2^53, so it is exact in
 float64 too.  ``classical_bound_report`` returns the rows the ``tails``
 command prints, one plain tuple per cutoff.  One prefix pass to the
 table limit gives the exact sums of both columns at every cutoff and at
@@ -62,7 +61,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _SUM_SCALE, _range_sums, _sorted_distinct
+from .arithmetic import MoebiusTable, _range_sums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -132,7 +131,7 @@ def _tail_sum(N: int, U: int, column: _Column, M: Callable[[int, int], np.ndarra
     """The correctly rounded sum of ``column`` over k = N..U-1, with
     ``M(a, b)`` the block M(a..b-1), asked for pass by pass."""
     (total,) = _range_sums(lambda a, b: _tail_terms(a, b, M(a, b), [column]), N, [U])
-    return total / _SUM_SCALE
+    return total
 
 
 def _tail_integral(table: MoebiusTable, N: int, U: int, column: _Column) -> float:
@@ -274,7 +273,8 @@ def classical_bound_report(
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
     # every tail runs to the table limit: one prefix pass for both
     # columns to the cutoffs and the limit, each tail the whole sum less
-    # its prefix, so a cutoff at the limit gets the empty sum 0.0
+    # its prefix, so a cutoff at the limit gets the empty sum 0.0 (the
+    # zip below drops the tail from the limit bound itself)
     start = cuts[0] if cuts else table.limit
     run = _MertensRun(table, start)
     at = {}  # M at the cutoffs, read from the blocks of the pass
@@ -285,10 +285,7 @@ def classical_bound_report(
             at[N] = int(M[N - a])
         return _tail_terms(a, b, M, [_u2, _u1])
 
-    u2, u1 = (
-        [(row[-1] - s) / _SUM_SCALE for s in row[:-1]]
-        for row in _range_sums(term, start, [*cuts, table.limit], rows=2)
-    )
+    u2, u1 = _range_sums(term, start, [*cuts, table.limit], rows=2, tails=True)
     # the pass stops before the limit, where the last block's M ends
     at[table.limit] = run.last + int(table.mu[table.limit])
     ms = [at[N] for N in cuts]

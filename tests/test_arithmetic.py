@@ -98,7 +98,7 @@ def test_sweep_factor_tables_match_linear_sieve():
         limits += [p * p - 1, p * p, p * p + 1]
     _, spf, j2 = (np.array(a, dtype=np.int64) for a in linear_sieve(max(limits)))
     for limit in limits:
-        spf_limit = arithmetic._smallest_factors(0, limit + 1, np.int64)
+        spf_limit = arithmetic._smallest_factors(0, limit + 1)
         assert np.array_equal(spf_limit, spf[: limit + 1])
         table = fraclab.build_tables(limit)
         assert np.array_equal(fraclab.build_jordan2(table), j2[: limit + 1])
@@ -107,16 +107,14 @@ def test_sweep_factor_tables_match_linear_sieve():
 @given(
     lo=st.integers(0, 3 * arithmetic._SIEVE_BLOCK),
     width=st.integers(1, 2 * arithmetic._SIEVE_BLOCK),
-    dtype=st.sampled_from([np.int32, np.int64]),
 )
-@example(lo=0, width=1, dtype=np.int32)
-@example(lo=1, width=1, dtype=np.int64)
-@example(lo=arithmetic._SIEVE_BLOCK, width=arithmetic._SIEVE_BLOCK, dtype=np.int32)
-def test_smallest_factors_of_a_range_match_the_whole_range(lo, width, dtype):
+@example(lo=0, width=1)
+@example(lo=1, width=1)
+@example(lo=arithmetic._SIEVE_BLOCK, width=arithmetic._SIEVE_BLOCK)
+def test_smallest_factors_of_a_range_match_the_whole_range(lo, width):
     hi = lo + width
-    spf = arithmetic._smallest_factors(lo, hi, dtype)
-    assert spf.dtype == dtype
-    assert np.array_equal(spf, arithmetic._smallest_factors(0, hi, np.int64)[lo:])
+    spf = arithmetic._smallest_factors(lo, hi)
+    assert np.array_equal(spf, arithmetic._smallest_factors(0, hi)[lo:])
 
 
 @pytest.fixture(scope="module")

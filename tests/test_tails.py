@@ -74,17 +74,12 @@ def term_arrays(draw):
 
 
 def prefixes_and_tails(term, start, bounds, rows=None):
-    """s / 2^1074 and (total - s) / 2^1074 for each bound, the total to
-    the last bound: how the callers read ``_range_sums``."""
-    sums = arithmetic._range_sums(term, start, bounds, rows)
-    for row in sums if rows else [sums]:
-        assert all(type(s) is int for s in row)
-    scale = arithmetic._SUM_SCALE
-
-    def read(row):
-        return [s / scale for s in row], [(row[-1] - s) / scale for s in row]
-
-    return [read(row) for row in sums] if rows else read(sums)
+    """The prefix and the tail to the last bound for each bound, from two
+    ``_range_sums`` passes."""
+    prefix, tail = (arithmetic._range_sums(term, start, bounds, rows, t) for t in (False, True))
+    for row in (prefix + tail) if rows else [prefix, tail]:
+        assert all(type(s) is float for s in row)
+    return list(zip(prefix, tail)) if rows else (prefix, tail)
 
 
 @given(term_arrays(), st.data(), st.sampled_from([1, 2, 7, 1 << 16]))
@@ -109,8 +104,9 @@ def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
         rows = prefixes_and_tails(two_rows, start, bounds, rows=2)
     assert bits(prefix) == bits(math.fsum(x[start:b].tolist()) for b in bounds)
     assert bits(tail) == bits(math.fsum(x[b:stop].tolist()) for b in bounds)
-    # the pass builds every term up to the last bound once, one chunk at a time
-    assert built == [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
+    # each pass (prefixes, then tails) builds every term up to the last
+    # bound once, one chunk at a time
+    assert built == 2 * [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     # a block of rows sums each row as its own term sequence
     assert len(rows) == 2
     assert bits(rows[0][0]) == bits(prefix) and bits(rows[0][1]) == bits(tail)
@@ -151,10 +147,10 @@ def test_range_fsums_on_a_dense_grid():
     n = 30_000
     x = rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
     bounds = np.sort(rng.integers(0, n + 1, 20_000)).tolist() + [n]
-    sums = arithmetic._range_sums(lambda a, b: x[a:b], 0, bounds)
-    exact = list(itertools.accumulate(map(Fraction, x.tolist()), initial=Fraction(0)))
-    assert sums == [exact[b] * arithmetic._SUM_SCALE for b in bounds]
     prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
+    exact = list(itertools.accumulate(map(Fraction, x.tolist()), initial=Fraction(0)))
+    assert bits(prefix) == bits(float(exact[b]) for b in bounds)
+    assert bits(tail) == bits(float(exact[n] - exact[b]) for b in bounds)
     picks = slice(None, None, 97)
     assert bits(prefix[picks]) == bits(math.fsum(x[:b].tolist()) for b in bounds[picks])
     assert bits(tail[picks]) == bits(math.fsum(x[b:].tolist()) for b in bounds[picks])
