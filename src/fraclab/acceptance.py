@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import arithmetic, exact, figures, series, tails
-from .arithmetic import MoebiusTable
+from .arithmetic import MoebiusTable, _range_sums
 
 #: table size the full suite needs
 REQUIRED_LIMIT = 10**6
@@ -224,20 +224,46 @@ def _c11_figure1(table: MoebiusTable) -> Tuple[bool, str]:
     )
 
 
+#: criterion 12's bounds on the summation-by-parts gaps, derived in its docstring
+TAIL_U2_TOL, TAIL_U1_TOL = 2e-15, 2e-9
+
+
+def _tail_identity_gaps(table: MoebiusTable, Ns: Sequence[int], U: int) -> Tuple[list, list]:
+    """The u2 tails from each N of the increasing ``Ns`` to U, and per N the
+    (u2, u1) gaps |tail - form| of ``_c12_tail_diagnostics``; 1 <= N < U."""
+
+    def mu_terms(a: int, b: int) -> np.ndarray:  # mu(n)/n and mu(n) ln n, n = a..b-1
+        n, mu = np.arange(a, b, dtype=np.float64), table.mu[a:b].astype(np.float64)
+        return np.stack((mu / n, mu * np.log(n)))
+
+    u2, u1 = tails._tail_sums(tails._MertensRun(table, Ns[0]), Ns[0], [*Ns, U], tails=True)
+    s2, s1 = _range_sums(mu_terms, Ns[0] + 1, [N + 1 for N in Ns] + [U], rows=2, tails=True)
+    *ms, last = [arithmetic.mertens(table, N) for N in [*Ns, U - 1]]
+    gaps = [(abs(t2 - math.fsum([m / N, -last / U, m2])),
+             abs(t1 - math.fsum([last * math.log(U), -m * math.log(N), -m1])))
+            for N, m, t2, t1, m2, m1 in zip(Ns, ms, u2, u1, s2, s1)]
+    return u2[: len(Ns)], gaps
+
+
 def _c12_tail_diagnostics(table: MoebiusTable) -> Tuple[bool, str]:
-    full = tails.tail_integral_u2(table, 1, 10**6)
-    if abs(full) >= 0.05:
-        return False, f"|tail(1,10^6)| = {abs(full):.4f} >= 0.05"
-    worst = 0.0
-    for mid in (10**3, 5 * 10**5):
-        split = (
-            tails.tail_integral_u2(table, 1, mid)
-            + tails.tail_integral_u2(table, mid, 10**6)
-        )
-        worst = max(worst, abs(split - full))
-    if worst >= 1e-12:
-        return False, f"additivity gap {worst:.3e} >= 1e-12"
-    return True, f"tail(1,10^6) = {full:.3e} (<0.05), additivity gap {worst:.2e} (<1e-12)"
+    """|tail_u2(1, 10^6)| < 0.05, and at N = 1, 10^3 and U = 10^6 both
+    tail columns equal their summation-by-parts forms up to rounding:
+
+        sum_{k=N}^{U-1} M(k) (1/k - 1/(k+1)) = M(N)/N - M(U-1)/U + sum_{N<n<U} mu(n)/n
+        sum_{k=N}^{U-1} M(k) ln((k+1)/k) = M(U-1) ln U - M(N) ln N - sum_{N<n<U} mu(n) ln n
+
+    With u = 2^-53 and n < 10^6: each mu(n)/n is one rounded division, so
+    the mu sum is off by at most u sum mu(n)^2/n = 9.44u = 1.05e-15; the
+    tail terms (u sum |M(k)|/(k(k+1)) = 1.01u) and the roundings of sums
+    and boundary terms, none above 1, add a few u: TAIL_U2_TOL = 2e-15.
+    np.log is within one ulp, so mu(n) ln n is off by at most 2u ln n:
+    2u sum |mu(n)| ln n = 1.73e-9, the rest under 1e-12: TAIL_U1_TOL = 2e-9."""
+    u2, gaps = _tail_identity_gaps(table, [1, 10**3], 10**6)
+    gap2, gap1 = map(max, zip(*gaps))
+    return abs(u2[0]) < 0.05 and gap2 < TAIL_U2_TOL and gap1 < TAIL_U1_TOL, (
+        f"tail(1,10^6) = {u2[0]:.3e} (<0.05), summation-by-parts gap at N=1, 10^3: "
+        f"u2 {gap2:.2e} (<{TAIL_U2_TOL:.0e}), u1 {gap1:.2e} (<{TAIL_U1_TOL:.0e})"
+    )
 
 
 CRITERIA: List[Tuple[int, str, Callable[[MoebiusTable], Tuple[bool, str]]]] = [

@@ -118,7 +118,7 @@ VERIFY_STDOUT = """\
   9 PASS sine-series residual trend: mean residual 0.04405 at N=10^2 vs 0.00262 at N=10^5 (need < 1/3)
  10 PASS squared-series expansion identity: worst expansion gap 5.55e-16 (<1e-10)
  11 PASS figure 1 reproduction and structure: byte-identical golden; E(6)=1/3 global peak, E(12) above the coprime minima {5,7,11}; exact ties on record: E(3)=E(12)=7/24, and E(4)=19/72 < E(2)=5/18 (no repeated-factor uplift)
- 12 PASS Mertens tail integral diagnostics: tail(1,10^6) = -1.140e-05 (<0.05), additivity gap 2.63e-19 (<1e-12)
+ 12 PASS Mertens tail integral diagnostics: tail(1,10^6) = -1.140e-05 (<0.05), summation-by-parts gap at N=1, 10^3: u2 1.62e-17 (<2e-15), u1 3.62e-13 (<2e-09)
 11/12 criteria passed
 bookkeeping (report only): pi^2 E(s_100^2) = pi^2/3 sum mu^2/n^2 + pi^2 S(100) = 0.505184 (exact rational equality; s_N(x) = sum mu(n)/n {nx})
 """

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraclab
-from fraclab import arithmetic, cli, tails
+from fraclab import acceptance, arithmetic, cli, tails
 
 
 # -- oracles: the per-cutoff fsum over a term list, as it was before the
@@ -196,7 +196,7 @@ def test_mertens_from_mu_matches_cumsum(table6, points):
     assert run.last == M[stop - 1]
     for n in points:
         assert fraclab.mertens(table6, n) == M[n]
-    # the report reads M at its cutoffs from its own pass, the limit included
+    # the report reads M at its cutoffs, the limit included
     with mock.patch.object(tails, "_bound_fit", wraps=tails._bound_fit) as fit:
         rows = fraclab.classical_bound_report(table6, points)
     assert [call.args[0] for call in fit.call_args_list] == [int(M[N]) for N in points]
@@ -205,8 +205,8 @@ def test_mertens_from_mu_matches_cumsum(table6, points):
 
 @pytest.mark.parametrize("limit", [2, 3, CHUNK + 1, 2 * CHUNK - 1, 3 * CHUNK + 1])
 def test_report_reads_mertens_at_the_limit(limit):
-    # the pass stops before the limit; mu(limit) != 0 here, so M(limit)
-    # differs from the M(limit - 1) the last block ends on
+    # the tail pass stops before the limit; mu(limit) != 0 here, so
+    # M(limit) differs from the M(limit - 1) its last block ends on
     table = fraclab.build_tables(limit)
     assert table.mu[limit] != 0
     M = mertens_array(table)
@@ -322,6 +322,28 @@ def test_additivity(table6):
         for mid in (7, 10**3, 999_999):
             split = fn(table6, 1, mid) + fn(table6, mid, 10**6)
             assert abs(split - whole) < 1e-12
+
+
+@st.composite
+def identity_ranges(draw):
+    U = draw(st.integers(2, LIMIT6))
+    Ns = draw(st.lists(st.integers(1, U - 1), min_size=1, max_size=3, unique=True))
+    return sorted(Ns), U
+
+
+@settings(max_examples=25)
+@given(identity_ranges())
+@example(([1], 2))
+@example(([1, 10**3], LIMIT6))
+@example(([CHUNK - 1, CHUNK, CHUNK + 1], 3 * CHUNK + 1))
+@example(([LIMIT6 - 1], LIMIT6))
+def test_tails_equal_their_summation_by_parts_forms(table6, ranges):
+    # criterion 12's identities, within its derived bounds, for any N < U
+    Ns, U = ranges
+    u2, gaps = acceptance._tail_identity_gaps(table6, Ns, U)
+    assert len(u2) == len(gaps) == len(Ns)
+    gap2, gap1 = map(max, zip(*gaps))
+    assert gap2 < acceptance.TAIL_U2_TOL and gap1 < acceptance.TAIL_U1_TOL
 
 
 def test_u1_grid_magnitudes(table6):
