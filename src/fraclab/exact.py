@@ -54,12 +54,12 @@ nothing, until every row is finished.  The way back up combines the
 frames with the same lines for every row: a finished row carries
 f = g = h = 0 and m = 0, for which the swap formulas give 0 again.
 
-Chunks and dtype.  ``_sweep_totals`` cuts a batch into chunks of
-ENGINE_CHUNK rows, which bounds the arrays it holds at once.  A chunk
-whose entries are all at most INT64_SIZE = 2^19 (for T >= 1 the largest
-is T) runs on int64 arrays, any other on object arrays of Python ints,
-through the same lines.  numpy int64 arithmetic wraps silently, so the
-bound is derived:
+Chunks and dtype.  ``_sweep_totals`` cuts the arrays T, P and Q (int64
+or object) into chunks of ENGINE_CHUNK rows, which bounds the arrays it
+holds at once.  A chunk whose entries are all at most INT64_SIZE = 2^19
+(for T >= 1 the largest is T) runs on int64 arrays, any other on object
+arrays of Python ints, through the same lines; the totals come back as
+one object array.  numpy int64 arithmetic wraps silently, so:
 
 * Let S bound n, a, b, c and y_max + 1 of a floor sum.  The swap makes
   the next level's n the reduced maximum m <= y_max, its y values at
@@ -91,9 +91,9 @@ rather than a tautology.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from numbers import Integral
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -107,13 +107,20 @@ ENGINE_CHUNK = 4096
 #: largest entry of a chunk that runs on int64 arrays (module docstring)
 INT64_SIZE = 2**19
 
+def _integers(a: np.ndarray) -> np.ndarray:
+    """True where an entry of ``a`` is an integer and not a bool."""
+    if a.dtype.kind in "iu":
+        return np.ones(a.shape, dtype=bool)
+    kinds = {k: issubclass(k, Integral) and not issubclass(k, bool) for k in set(map(type, a))}
+    return np.fromiter(map(kinds.get, map(type, a)), dtype=bool, count=a.size)
+
+
 def _check_pair(n: int, m: int) -> None:
-    if n < 1 or m < 1:
+    if not _integers(np.array([n, m], dtype=object)).all() or n < 1 or m < 1:
         raise ValueError(f"n and m must be positive integers, got ({n}, {m})")
+    n, m = int(n), int(m)  # a sum of numpy scalars could wrap
     if n + m > PAIR_SIZE_LIMIT:
-        raise ValueError(
-            f"n + m = {n + m} exceeds the pair size limit {PAIR_SIZE_LIMIT}"
-        )
+        raise ValueError(f"n + m = {n + m} exceeds the pair size limit {PAIR_SIZE_LIMIT}")
 
 
 def _floor_sums(
@@ -153,9 +160,9 @@ def _floor_sums(
     return f, g, h
 
 
-def _sweep_totals(rows: Sequence[Tuple[int, int, int]]) -> List[int]:
-    """6 * integral_0^T (t mod P)(t mod Q) dt, exact, for every row
-    (T, P, Q).
+def _sweep_totals(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """6 * integral_0^T (t mod P)(t mod Q) dt, exact, as an object array,
+    for every row of the equal-length integer arrays T, P and Q.
 
     Needs P, Q >= 1 and T >= 0 a common multiple of P and Q.  The
     polynomial collects the closed-form unit-step sums; the floor sums
@@ -163,34 +170,37 @@ def _sweep_totals(rows: Sequence[Tuple[int, int, int]]) -> List[int]:
     int64 or object arrays by their largest entry.  See the module
     docstring.
     """
-    totals: List[int] = []
-    for start in range(0, len(rows), ENGINE_CHUNK):
-        chunk = rows[start : start + ENGINE_CHUNK]
-        small = max(map(max, chunk)) <= INT64_SIZE
-        T, P, Q = np.array(chunk, dtype=np.int64 if small else object).T
-        f, g, h = _floor_sums(T // P, P, np.zeros_like(P), Q)
-        totals += (
-            T * (2 * T * T - 3 * T * (P + Q) + P * P + 6 * P * Q + Q * Q) // 2
-            + 3 * P * Q * (Q * (f + h) - 2 * P * g)
-        ).tolist()
+    totals = np.empty(len(T), dtype=object)
+    for start in range(0, len(T), ENGINE_CHUNK):
+        part = slice(start, start + ENGINE_CHUNK)
+        small = max(T[part].max(), P[part].max(), Q[part].max()) <= INT64_SIZE
+        t, p, q = (a[part].astype(np.int64 if small else object) for a in (T, P, Q))
+        f, g, h = _floor_sums(t // p, p, np.zeros_like(p), q)
+        totals[part] = (
+            t * (2 * t * t - 3 * t * (p + q) + p * p + 6 * p * q + q * q) // 2
+            + 3 * p * q * (q * (f + h) - 2 * p * g)
+        )
     return totals
 
 
-def _lattice(n: int, m: int) -> Tuple[int, int, int]:
-    """(L, p, q) of a checked pair: lcm(n, m), L/n and L/m."""
-    n, m = int(n), int(m)
-    _check_pair(n, m)
-    g = math.gcd(n, m)
-    p, q = m // g, n // g
-    return n * p, p, q
+def _lattices(n: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L, p, q) = (lcm(n, m), L/n, L/m), int64 as L <= 2.5 10^11, for the
+    arrays n and m after one check of all pairs, which names the first bad one."""
+    ok = _integers(n) & _integers(m)
+    ok[ok] = (np.minimum(n[ok], m[ok]) >= 1) & (np.maximum(n[ok], m[ok]) < PAIR_SIZE_LIMIT)
+    ok[ok] = n[ok] + m[ok] <= PAIR_SIZE_LIMIT  # cannot wrap, both are below the limit
+    if not ok.all():
+        _check_pair(n[ok.argmin()], m[ok.argmin()])
+    n, m = n.astype(np.int64), m.astype(np.int64)
+    g = np.gcd(n, m)
+    return n * (m // g), m // g, n // g
 
 
-def _correlation_terms(pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """(total, 6 L p q) for every (n, m) from one engine batch: the
-    unreduced numerator and denominator of integral_0^1 {nx}{mx} dx."""
-    lattices = [_lattice(n, m) for n, m in pairs]
-    totals = _sweep_totals(lattices)
-    return [(t, 6 * L * p * q) for t, (L, p, q) in zip(totals, lattices)]
+def _correlation_terms(n: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Object arrays (total, 6 L p q), one engine batch for the pair arrays
+    n and m: the unreduced fraction integral_0^1 {nx}{mx} dx."""
+    L, p, q = _lattices(n, m)
+    return _sweep_totals(L, p, q), 6 * L.astype(object) * p * q
 
 
 def exact_correlation(n: int, m: int) -> Fraction:
@@ -199,38 +209,39 @@ def exact_correlation(n: int, m: int) -> Fraction:
     Denominators reach the scale of lcm(n, m)^2 before reduction, hence
     arbitrary-precision integers throughout.
     """
-    return Fraction(*_correlation_terms([(n, m)])[0])
+    n, m = np.array([n], dtype=object), np.array([m], dtype=object)
+    return list(map(Fraction, *_correlation_terms(n, m)))[0]
 
 
 def expected_correlations(triples: Iterable[Tuple[int, int, int]]) -> List[Fraction]:
     """``expected_correlation`` for every (n, m, X), from one engine
     batch that holds the [0, 1] and the [0, X] total of each."""
-    checked = []
-    for n, m, X in triples:
-        if isinstance(X, bool) or not isinstance(X, numbers.Integral):
-            raise ValueError(f"X must be a positive integer, got {X!r}")
-        if X < 1:
-            raise ValueError(f"X must be >= 1, got {X}")
-        checked.append((n, m, int(X), _lattice(n, m)))
-    rows = [lattice for *_, lattice in checked]
-    rows += [(X * L, p, q) for _, _, X, (L, p, q) in checked]
-    totals = _sweep_totals(rows)
-    values = []
-    for (n, m, X, (L, p, q)), one, full in zip(checked, totals, totals[len(checked):]):
-        den = 6 * L * p * q
-        # full / (den X) == one / den and 1/4 <= one / den <= 1/3, cross-multiplied
-        if full != X * one:
-            raise AssertionError(
-                f"period-1 identity violated for (n={n}, m={m}, X={X}): "
-                f"{Fraction(full, den * X)} != {Fraction(one, den)}"
-            )
-        if not 3 * one <= den <= 4 * one:
-            raise AssertionError(
-                f"correlation {Fraction(one, den)} for (n={n}, m={m}) "
-                "outside the provable [1/4, 1/3] range"
-            )
-        values.append(Fraction(one, den))
-    return values
+    n, m, X = np.array(list(triples), dtype=object).reshape(-1, 3).T
+    ok = _integers(X)
+    ok[ok] = X[ok] >= 1
+    if not ok.all():
+        i = ok.argmin()
+        _lattices(n[:i], m[:i])  # the first failing triple raises
+        if not _integers(X[i : i + 1])[0]:
+            raise ValueError(f"X must be a positive integer, got {X[i]!r}")
+        raise ValueError(f"X must be >= 1, got {X[i]}")
+    L, p, q = _lattices(n, m)
+    X = np.fromiter(map(int, X), dtype=object, count=X.size)  # an int64 X would wrap in X L
+    totals = _sweep_totals(np.concatenate((L, X * L)), np.tile(p, 2), np.tile(q, 2))
+    one, full, den = totals[: X.size], totals[X.size :], 6 * L.astype(object) * p * q
+    # full / (den X) == one / den and 1/4 <= one / den <= 1/3, cross-multiplied
+    broken = full != X * one
+    bad = broken | (3 * one > den) | (den > 4 * one)
+    if bad.any():
+        i = bad.argmax()
+        raise AssertionError(
+            f"period-1 identity violated for (n={n[i]}, m={m[i]}, X={X[i]}): "
+            f"{Fraction(full[i], den[i] * X[i])} != {Fraction(one[i], den[i])}"
+            if broken[i]
+            else f"correlation {Fraction(one[i], den[i])} for (n={n[i]}, m={m[i]}) "
+            "outside the provable [1/4, 1/3] range"
+        )
+    return list(map(Fraction, one, den))
 
 
 def expected_correlation(n: int, m: int, X: int) -> Fraction:

@@ -13,7 +13,7 @@ Two families live here, both over a shared MoebiusTable:
   whose partial sums approach DOUBLE_SUM_LIMIT = -9 / (2 pi^2).
 
 S(N) has two routes.  The direct route walks the O(N^2) square-free
-pairs; in exact mode every C(n, m) comes from the exact engine
+pairs; in exact mode they reach the exact engine as two int64 arrays
 (``exact._correlation_terms``), so no closed form is involved anywhere
 on that path.  The fast route rewrites gcd(n, m)^2 through the Jordan
 totient divisor identity sum_{d | g} J2(d) = g^2:
@@ -128,31 +128,28 @@ def _direct_row_float(table: MoebiusTable, n: int, below: np.ndarray) -> float:
 
 
 def _direct_exact_rows(table: MoebiusTable, n_max: int) -> List[Fraction]:
-    """2 mu(n)/n * sum_{m < n} mu(m)/m * C(n, m) for every square-free
-    n <= n_max in increasing order, m over the square-free m < n.
+    """[S(1), ..., S(n_max)] by the direct route: S(N) sums the rows
+    2 mu(n)/n * sum_{m < n} mu(m)/m * C(n, m) of the square-free n <= N,
+    m over the square-free m < n.
 
-    Every C(n, m) = total/den comes from one engine batch.  A row sums
-    its reduced mu(m) total / (m den) over their lcm in integers, so
-    each row builds one Fraction.
+    Every C(n, m) = total/den comes from one engine batch of pair arrays.
+    A row sums its reduced mu(m) total / (m den) over their lcm in
+    integers, so each row builds one Fraction.
     """
-    sf = _squarefree_upto(table, n_max).tolist()
-    mu = table.mu[: n_max + 1].tolist()
-    pairs = [(n, m) for i, n in enumerate(sf) for m in sf[:i]]
-    terms = _correlation_terms(pairs)
-    rows = []
-    start = 0
-    for i, n in enumerate(sf):
-        nums, dens = [], []
-        for m, (total, den) in zip(sf[:i], terms[start : start + i]):
-            a, b = mu[m] * total, m * den
-            g = math.gcd(a, b)
-            nums.append(a // g)
-            dens.append(b // g)
-        start += i
-        lcm = math.lcm(*dens)
-        row = sum(a * (lcm // b) for a, b in zip(nums, dens))
-        rows.append(Fraction(2 * mu[n] * row, n * lcm))
-    return rows
+    sf = _squarefree_upto(table, n_max)
+    i, j = np.tril_indices(sf.size, -1)  # (n, m) = (sf[i], sf[j]), m < n, n-major
+    total, den = _correlation_terms(sf[i], sf[j])
+    num, den = table.mu[sf[j]] * total, sf[j] * den
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    sums, S = [], Fraction(0)
+    for k, (n, mu_n) in enumerate(zip(sf.tolist(), table.mu[sf].tolist())):
+        row = slice(k * (k - 1) // 2, k * (k + 1) // 2)  # the k pairs of n
+        lcm = np.lcm.reduce(den[row], initial=1)
+        S += Fraction(2 * mu_n * (num[row] * (lcm // den[row])).sum(), n * lcm)
+        sums.append(S)
+    # S(N) is the sum at the largest square-free n <= N, and 1 is square-free
+    return [sums[k - 1] for k in np.cumsum(table.mu[1 : n_max + 1] != 0).tolist()]
 
 
 def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
@@ -220,30 +217,21 @@ def correlation_double_sum_sweep(
     ``arithmetic.build_jordan2`` where p never divides n/p.
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
-    one row of pairs (n, m < n) per square-free n: exact mode fetches
-    every C(n, m) of every row from the exact engine in one batch and
-    builds one Fraction per row, capped at n_max <= DIRECT_EXACT_LIMIT
-    because the reduced denominators grow like lcm(1..N)^2; float mode
-    uses the closed-form law per pair and re-sums the rows with fsum for
-    each point.
+    one row of pairs (n, m < n) per square-free n: exact mode by
+    ``_direct_exact_rows``, capped at n_max <= DIRECT_EXACT_LIMIT because
+    the reduced denominators grow like lcm(1..N)^2; float mode uses the
+    closed-form law per pair and re-sums the rows with fsum for each
+    point.
     """
     table._check_index(n_max)
     if fast:
         return _fast_sweep(table, n_max, exact)
-    if exact and n_max > DIRECT_EXACT_LIMIT:
-        raise ValueError(
-            f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}"
-        )
+    if exact:
+        if n_max > DIRECT_EXACT_LIMIT:
+            raise ValueError(f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}")
+        return _direct_exact_rows(table, n_max)
     values: List[Value] = []
     mu = table.mu
-    if exact:
-        rows = iter(_direct_exact_rows(table, n_max))
-        total = Fraction(0)
-        for n in range(1, n_max + 1):
-            if mu[n]:
-                total += next(rows)
-            values.append(total)
-        return values
     sf = _squarefree_upto(table, n_max)
     contribs: List[float] = []
     for n in range(1, n_max + 1):

@@ -396,7 +396,9 @@ def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, mes
     real = exact._sweep_totals
     monkeypatch.setattr(
         exact, "_sweep_totals",
-        lambda rows: [wrong(T, total) for (T, _, _), total in zip(rows, real(rows))],
+        lambda T, P, Q: np.array(
+            [wrong(t, total) for t, total in zip(T, real(T, P, Q))], dtype=object
+        ),
     )
     rc, out, err = run_cli(
         ["correlate", "--n", "5", "--m", "6", "--x-range", x_range], capsys

@@ -58,6 +58,17 @@ def test_domain_and_size_guards():
         fraclab.exact_correlation(3, 0)
     with pytest.raises(ValueError):
         fraclab.exact_correlation(600_000, 500_000)
+    # non-integers and bools are refused, not truncated; numpy integers pass
+    for call in (
+        lambda: fraclab.exact_correlation(2.5, 3),
+        lambda: fraclab.exact_correlation(True, 3),
+        lambda: fraclab.expected_correlation(2.9, 3, 1),
+        lambda: fraclab.expected_correlation(True, 3, 1),
+        lambda: fraclab.correlation_closed_form(2.5, 3),
+    ):
+        with pytest.raises(ValueError, match="n and m must be positive integers"):
+            call()
+    assert fraclab.exact_correlation(np.int64(5), np.int32(6)) == Fraction(91, 360)
 
 
 def test_law_on_random_pairs_with_quadrature_oracle():
@@ -126,7 +137,7 @@ sweep_args = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 6)
 @example(triple=(24, 8, 1))    # Q = 1
 @example(triple=(24, 1, 8))    # P = 1
 def test_engine_matches_merged_breakpoint_oracle(triple):
-    assert exact._sweep_totals([triple]) == [_merged_sweep_total(*triple)]
+    assert exact._sweep_totals(*np.array([triple]).T).tolist() == [_merged_sweep_total(*triple)]
 
 
 S = exact.INT64_SIZE
@@ -210,23 +221,37 @@ sweep_switch_rows = st.tuples(st.integers(1, 2000), st.integers(1, 2000), st.int
 @example(rows=[(S, 1, 1), (S + 1, 1, 1), (S, S, 1), (2 * S, S, S)])
 def test_sweep_totals_at_the_int64_switch(chunk, rows):
     # T just below and just above INT64_SIZE in one batch; with chunks of
-    # one row each row runs at its own dtype
+    # one row each row runs at its own dtype, whatever the arrays came in
+    expected = [law_total(*row) for row in rows]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "ENGINE_CHUNK", chunk)
-        assert exact._sweep_totals(rows) == [law_total(*row) for row in rows]
+        for dtype in (np.int64, object):
+            assert exact._sweep_totals(*np.array(rows, dtype=dtype).T).tolist() == expected
 
 
 def test_batch_longer_than_a_chunk(monkeypatch):
     monkeypatch.setattr(exact, "ENGINE_CHUNK", 7)
     pairs = [(n, m) for n in (1, 5, 6, 12, 199) for m in (1, 7, 30, 200)] + [(499999, 500000)]
     triples = [(n, m, X) for (n, m), X in zip(pairs, [1, 2, 100, 10**9] * 6)]
+    triples.append((499999, 500000, np.int64(10**18)))   # X L passes 2^63
     assert len(pairs) > 2 * exact.ENGINE_CHUNK
-    assert [Fraction(*terms) for terms in exact._correlation_terms(pairs)] == [
+    assert list(map(Fraction, *exact._correlation_terms(*np.array(pairs).T))) == [
         fraclab.exact_correlation(n, m) for n, m in pairs
     ]
-    assert fraclab.expected_correlations(triples) == [
-        fraclab.expected_correlation(*triple) for triple in triples
-    ]
+    values = fraclab.expected_correlations(triples)
+    assert values == [fraclab.expected_correlation(*triple) for triple in triples]
+    assert values[-1] == fraclab.correlation_closed_form(499999, 500000)
+    # one bad pair in the middle of the batch is named in _check_pair's words
+    for bad, message in [((0, 7), r"positive integers, got \(0, 7\)"),
+                         ((600000, 500000), r"n \+ m = 1100000 exceeds the pair size limit")]:
+        pairs[10] = bad
+        with pytest.raises(ValueError, match=message):
+            exact._correlation_terms(*np.array(pairs).T)
+        with pytest.raises(ValueError, match=message):
+            fraclab.expected_correlations([(n, m, 1) for n, m in pairs])
+    pairs[5] = (0, 7)   # two bad pairs: the first is named
+    with pytest.raises(ValueError, match=r"positive integers, got \(0, 7\)"):
+        exact._correlation_terms(*np.array(pairs).T)
 
 
 @given(a=st.integers(1, 10**9), b=st.integers(1, 10**9), k=st.integers(1, 10**9))
@@ -241,7 +266,8 @@ def test_engine_matches_law_past_the_pair_guard(a, b, k):
     p, q = m // g, n // g
     L = n * p
     law = Fraction(1, 4) + Fraction(g * g, 12 * n * m)
-    assert Fraction(exact._sweep_totals([(L, p, q)])[0], 6 * L * p * q) == law
+    T, P, Q = np.array([(L, p, q)], dtype=object).T
+    assert Fraction(exact._sweep_totals(T, P, Q)[0], 6 * L * p * q) == law
 
 
 @given(n=st.integers(1, exact.PAIR_SIZE_LIMIT - 1), data=st.data())
