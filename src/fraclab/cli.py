@@ -69,12 +69,13 @@ def _preflight(args: argparse.Namespace, needed: int) -> None:
 
 
 def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
-    """The table of mu(1..read) for a command that reads that prefix.
+    """The read-only table of mu(1..read) for a command that reads that
+    prefix, whatever the cache holds.
 
     ``--limit`` is a ceiling, checked by ``_preflight``.  The prefix comes
     from the cache, read only that far, when it reaches it; otherwise it
     is sieved, to ``read`` without a cache path, else to ``--limit`` and
-    saved.
+    saved, and the prefix of that table returned.
     """
     _preflight(args, read)
     limit = args.limit
@@ -86,7 +87,7 @@ def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
             # prefix by keyword: perfbench's tracer reads a second
             # positional argument as the cache path
             cached = load_cache(path, prefix=read)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             _warn(f"ignoring sieve cache: {exc}")
         else:
             if cached.limit == read:
@@ -99,7 +100,7 @@ def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
         save_cache(table, path)
     except OSError as exc:
         _warn(f"could not write sieve cache {path}: {exc}")
-    return table
+    return MoebiusTable(limit=read, mu=table.mu[: read + 1])
 
 
 def _require_positive(flag: str, value: int) -> None:

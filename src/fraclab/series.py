@@ -26,11 +26,13 @@ which costs O(N log N).  The fast route leans on the closed-form
 correlation law, so its exact-mode agreement with the direct route is a
 real consistency check, not bookkeeping.
 
-Each route has one implementation, an incremental sweep over N = 1..n_max
-(``correlation_double_sum_sweep``) that returns the plain values
-[S(1), ..., S(n_max)]: Fractions in exact mode, floats otherwise.  The
-single-N functions ``correlation_double_sum`` and
-``correlation_double_sum_fast`` return the last value of a sweep to N.
+Each route has one implementation, an incremental sweep that returns
+S(n) at each square-free n <= n_max, the only N where S(N) changes
+(``_fast_sweep``, ``_direct_sweep``).  ``correlation_double_sum_sweep``
+expands those to the plain values [S(1), ..., S(n_max)]: Fractions in
+exact mode, floats otherwise.  The single-N functions
+``correlation_double_sum`` and ``correlation_double_sum_fast`` return
+the last value of a sweep to N.
 
 Float results are deterministic run to run.  The float fast sweep keeps
 P, D, A_d and G as integers scaled by FIXED_POINT_SCALE = 2**128 and ends
@@ -42,9 +44,11 @@ N <= 2000).  The sine series is also correctly rounded in its float64
 terms: ``sine_series_partials`` builds them in chunks, sums the piece
 between grid points exactly as one integer and rounds each exact prefix
 once (``arithmetic._range_sums``), which gives every grid point in one
-pass and the same bits as ``math.fsum`` over the term list.  The other
-float paths accumulate in ascending index order through ``math.fsum``
-(exactly rounded).
+pass and the same bits as ``math.fsum`` over the term list.  The float
+direct sweep sums its rows the same way, one piece per square-free n,
+so each S(N) is the correctly rounded sum of the rows up to N.
+``sine_squared_identity_gap`` sums through ``math.fsum`` (also correctly
+rounded).
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -127,29 +132,37 @@ def _direct_row_float(table: MoebiusTable, n: int, below: np.ndarray) -> float:
     return float(np.sum(mum / below * c))
 
 
-def _direct_exact_rows(table: MoebiusTable, n_max: int) -> List[Fraction]:
-    """[S(1), ..., S(n_max)] by the direct route: S(N) sums the rows
-    2 mu(n)/n * sum_{m < n} mu(m)/m * C(n, m) of the square-free n <= N,
-    m over the square-free m < n.
+def _direct_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
+    """S(n) at each square-free n <= n_max by the direct route: the sum of
+    the rows 2 mu(k)/k * sum_{m < k} mu(m)/m * C(k, m) of the square-free
+    k <= n, m over the square-free m < k.
 
-    Every C(n, m) = total/den comes from one engine batch of pair arrays.
-    A row sums its reduced mu(m) total / (m den) over their lcm in
-    integers, so each row builds one Fraction.
+    Exact mode is capped at n_max <= DIRECT_EXACT_LIMIT, because the
+    reduced denominators grow like lcm(1..N)^2.  Every C(k, m) = total/den
+    comes from one engine batch of pair arrays, and a row sums its reduced
+    mu(m) total / (m den) over their lcm in integers, so each row builds
+    one Fraction.  Float mode uses the closed-form law per pair, and its
+    prefix sums of the rows come from one pass of ``_range_sums``.
     """
+    if exact and n_max > DIRECT_EXACT_LIMIT:
+        raise ValueError(f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}")
     sf = _squarefree_upto(table, n_max)
+    ranked = list(enumerate(zip(sf.tolist(), table.mu[sf].tolist())))  # k, (n, mu(n))
+    if not exact:
+        row = partial(_direct_row_float, table)
+        rows = np.array([2.0 * mu_n / n * row(n, sf[:k]) for k, (n, mu_n) in ranked])
+        return _range_sums(lambda a, b: rows[a:b], 0, range(1, rows.size + 1))
     i, j = np.tril_indices(sf.size, -1)  # (n, m) = (sf[i], sf[j]), m < n, n-major
     total, den = _correlation_terms(sf[i], sf[j])
     num, den = table.mu[sf[j]] * total, sf[j] * den
     g = np.gcd(num, den)
     num, den = num // g, den // g
-    sums, S = [], Fraction(0)
-    for k, (n, mu_n) in enumerate(zip(sf.tolist(), table.mu[sf].tolist())):
+    rows = []
+    for k, (n, mu_n) in ranked:
         row = slice(k * (k - 1) // 2, k * (k + 1) // 2)  # the k pairs of n
         lcm = np.lcm.reduce(den[row], initial=1)
-        S += Fraction(2 * mu_n * (num[row] * (lcm // den[row])).sum(), n * lcm)
-        sums.append(S)
-    # S(N) is the sum at the largest square-free n <= N, and 1 is square-free
-    return [sums[k - 1] for k in np.cumsum(table.mu[1 : n_max + 1] != 0).tolist()]
+        rows.append(Fraction(2 * mu_n * (num[row] * (lcm // den[row])).sum(), n * lcm))
+    return list(accumulate(rows))
 
 
 def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
@@ -180,23 +193,21 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     P = D = G = 0
     A = [0] * (n_max + 1)
     values: List[Value] = []
-    for n in range(1, n_max + 1):
-        if mu[n]:
-            if n > 1:
-                p = spf[n]
-                j2[n] = (p * p - 1) * j2[n // p]
-            nn = n * n
-            P += term(mu[n], n)
-            delta = term(mu[n], nn)
-            D += abs(delta)
-            divs = _squarefree_divisors(n, spf)
-            # A_d += delta for d | n; as sum_{d|n} J2(d) = n^2, that moves
-            # G = sum_d J2(d) A_d^2 by delta * (2 sum_{d|n} J2(d) A_d + n^2 delta)
-            G += delta * (2 * sum(j2[d] * A[d] for d in divs) + nn * delta)
-            for d in divs:
-                A[d] += delta
-            value = (3 * P * P + G - four_scale * D) / row_den
-        values.append(value)
+    for n in _squarefree_upto(table, n_max).tolist():
+        if n > 1:
+            p = spf[n]
+            j2[n] = (p * p - 1) * j2[n // p]
+        nn = n * n
+        P += term(mu[n], n)
+        delta = term(mu[n], nn)
+        D += abs(delta)
+        divs = _squarefree_divisors(n, spf)
+        # A_d += delta for d | n; as sum_{d|n} J2(d) = n^2, that moves
+        # G = sum_d J2(d) A_d^2 by delta * (2 sum_{d|n} J2(d) A_d + n^2 delta)
+        G += delta * (2 * sum(j2[d] * A[d] for d in divs) + nn * delta)
+        for d in divs:
+            A[d] += delta
+        values.append((3 * P * P + G - four_scale * D) / row_den)
     return values
 
 
@@ -208,6 +219,9 @@ def correlation_double_sum_sweep(
 ) -> List[Value]:
     """[S(1), ..., S(n_max)], computed incrementally.
 
+    S(N) changes only at square-free N, so each route returns S at the
+    square-free n <= n_max (``_fast_sweep`` or ``_direct_sweep``) and this
+    function alone repeats each value up to the next square-free n.
     Exact modes accumulate Fractions.  Both fast sweeps run one loop:
     each new square-free n updates P, D, G and A_d for every d | n, with
     divisors from the smallest prime factors to n_max
@@ -217,29 +231,12 @@ def correlation_double_sum_sweep(
     ``arithmetic.build_jordan2`` where p never divides n/p.
     The float fast sweep carries the sums as integers scaled by
     FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
-    one row of pairs (n, m < n) per square-free n: exact mode by
-    ``_direct_exact_rows``, capped at n_max <= DIRECT_EXACT_LIMIT because
-    the reduced denominators grow like lcm(1..N)^2; float mode uses the
-    closed-form law per pair and re-sums the rows with fsum for each
-    point.
+    one row of pairs (n, m < n) per square-free n.
     """
     table._check_index(n_max)
-    if fast:
-        return _fast_sweep(table, n_max, exact)
-    if exact:
-        if n_max > DIRECT_EXACT_LIMIT:
-            raise ValueError(f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}")
-        return _direct_exact_rows(table, n_max)
-    values: List[Value] = []
-    mu = table.mu
-    sf = _squarefree_upto(table, n_max)
-    contribs: List[float] = []
-    for n in range(1, n_max + 1):
-        if mu[n]:
-            row = _direct_row_float(table, n, sf[: len(contribs)])
-            contribs.append(2.0 * int(mu[n]) / n * row)
-        values.append(math.fsum(contribs))
-    return values
+    rows = (_fast_sweep if fast else _direct_sweep)(table, n_max, exact)
+    # the k-th value is S at the k-th square-free n, and 1 is square-free
+    return [rows[k - 1] for k in np.cumsum(table.mu[1 : n_max + 1] != 0).tolist()]
 
 
 def correlation_double_sum(table: MoebiusTable, N: int, exact: bool = False) -> Value:

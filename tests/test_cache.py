@@ -1,5 +1,6 @@
 """Binary sieve cache: round trip, corruption handling, CLI fallback."""
 
+import argparse
 import hashlib
 import struct
 
@@ -217,6 +218,18 @@ def test_cli_larger_cache_cut_to_limit(tmp_path, capsys):
     assert rc == 0
     assert captured.out == "limit,1000\nmertens,2\nsquarefree_count,608\n"
     assert path.read_bytes() == before  # cut in memory, not re-saved
+
+
+@pytest.mark.parametrize("cache", [None, "fresh", "longer"])
+def test_get_table_returns_exactly_the_prefix(tmp_path, cache):
+    path = None if cache is None else str(tmp_path / "sieve.muv")
+    if cache == "longer":
+        fraclab.save_cache(fraclab.build_tables(20000), path)
+    args = argparse.Namespace(limit=1000, cache=path)
+    table = cli._get_table(args, 100)
+    assert table.limit == 100
+    assert np.array_equal(table.mu, fraclab.build_tables(100).mu)
+    assert not table.mu.flags.writeable
 
 
 def test_cli_tails_bytes_independent_of_cache(tmp_path, capsys):

@@ -443,6 +443,21 @@ def test_out_io_error(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_unreadable_cache_is_ignored_with_warnings(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    args = ["series", "--n-max", "50", "--limit", "1000"]
+    rc, without, _ = run_cli(args, capsys)
+    assert rc == 0
+    directory = tmp_path / "cache-dir"
+    directory.mkdir()
+    rc, out, err = run_cli(args + ["--cache", str(directory)], capsys)
+    assert rc == 0
+    assert out == without
+    assert "ignoring sieve cache" in err
+    assert "could not write sieve cache" in err
+    assert directory.is_dir()
+
+
 def test_verify_passing_subset(capsys, table6):
     rc, out, err = run_cli(["verify", "--only", "5,12"], capsys)
     assert rc == 0

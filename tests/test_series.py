@@ -181,6 +181,11 @@ def test_single_n_calls_are_sweep_rows(table4, fast, exact):
     single = fraclab.correlation_double_sum_fast if fast else fraclab.correlation_double_sum
     sweep = fraclab.correlation_double_sum_sweep(table4, n_max, fast=fast, exact=exact)
     assert len(sweep) == n_max
+    assert all(type(value) is (Fraction if exact else float) for value in sweep)
+    # S(N) moves only at square-free N: the expansion repeats the value
+    for N in range(2, n_max + 1):
+        if table4.mu[N] == 0:
+            assert sweep[N - 1] == sweep[N - 2], N
     for N in (1, 2, 97, n_max):
         value = single(table4, N, exact=exact)
         assert type(value) is (Fraction if exact else float)
@@ -188,9 +193,17 @@ def test_single_n_calls_are_sweep_rows(table4, fast, exact):
         assert value == sweep[N - 1]
 
 
-def test_exact_direct_guard(table4):
+def test_exact_direct_guard(table4, monkeypatch):
+    def no_engine(*args):
+        pytest.fail("the exact engine ran before the guard")
+
+    monkeypatch.setattr(series, "_correlation_terms", no_engine)
     with pytest.raises(ValueError):
         fraclab.correlation_double_sum(table4, DIRECT_EXACT_LIMIT + 1, exact=True)
+    with pytest.raises(ValueError):
+        fraclab.correlation_double_sum_sweep(
+            table4, DIRECT_EXACT_LIMIT + 1, fast=False, exact=True
+        )
 
 
 def test_float_routes_agree_on_grid(table6):
