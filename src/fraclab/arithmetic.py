@@ -32,8 +32,8 @@ The partial sums P(N) = sum mu(n)/n (``moebius_harmonic``) and
 sum mu(n)^2/n^2 (``squarefree_zeta2_partial``) are floats: ``math.fsum``
 of the float64 terms, correctly rounded.  Their exact values are needed
 only inside the exact gcd-grouped double-sum sweep
-(``series.correlation_double_sum_sweep``), which accumulates them as
-Fractions itself.
+(``series.correlation_double_sum_sweep``), which accumulates them itself
+as integers at a scale where every term is exact.
 
 ``_range_sums`` sums a term sequence exactly over many prefixes in one
 pass, as integers scaled by 2^1074, and rounds each prefix or tail (the
@@ -49,6 +49,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,8 +71,16 @@ class MoebiusTable:
     mu: np.ndarray  # int8, mu[0] = 0
 
     def _check_index(self, n: int) -> None:
+        _check_integer(n)
         if not 1 <= n <= self.limit:
             raise IndexError(f"n={n} outside table range 1..{self.limit}")
+
+
+def _check_integer(n: int) -> None:
+    """ValueError unless ``n`` is an integer, numpy's included, and not a
+    bool: the rule ``exact._check_pair`` applies to n, m and X."""
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ValueError(f"index must be an integer, got {n!r}")
 
 
 def _frozen_table(limit: int, mu: np.ndarray) -> MoebiusTable:

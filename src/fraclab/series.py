@@ -34,17 +34,22 @@ exact mode, floats otherwise.  The single-N functions
 ``correlation_double_sum`` and ``correlation_double_sum_fast`` return
 the last value of a sweep to N.
 
-Float results are deterministic run to run.  The float fast sweep keeps
-P, D, A_d and G as integers scaled by FIXED_POINT_SCALE = 2**128 and ends
-each row in one int/int true division, which Python rounds correctly.
-Its truncation error, below N log N 2**-128, is far under half an ulp of
-S(N), so a row is the correctly rounded value of the exact S(N) unless
-S(N) lies that close to a rounding boundary (the tests check every
-N <= 2000).  The sine series is also correctly rounded in its float64
-terms: ``sine_series_partials`` builds them in chunks, sums the piece
-between grid points exactly as one integer and rounds each exact prefix
-once (``arithmetic._range_sums``), which gives every grid point in one
-pass and the same bits as ``math.fsum`` over the term list.  The float
+Both fast modes run one integer loop: P, D, A_d and G are integers at a
+fixed scale, each term mu(n)/n or mu(n)/n^2 times the scale rounded to
+the nearest integer, and a row is 12 scale^2 S(n) as one integer.  Exact
+mode takes the scale lcm(square-free n <= n_max)^2, which every n and
+n^2 divides, so no term is ever rounded and each row becomes one
+Fraction.  Float results are deterministic run to run.  Float mode
+takes FIXED_POINT_SCALE = 2**128 and ends each row in one int/int true
+division, which Python rounds correctly.  Its truncation error, below
+N log N 2**-128, is far under half an ulp of S(N), so a row is the
+correctly rounded value of the exact S(N) unless S(N) lies that close
+to a rounding boundary (the tests check every N <= 2000).  The sine
+series is also correctly rounded in its float64 terms:
+``sine_series_partials`` builds them in chunks, sums the piece between
+grid points exactly as one integer and rounds each exact prefix once
+(``arithmetic._range_sums``), which gives every grid point in one pass
+and the same bits as ``math.fsum`` over the term list.  The float
 direct sweep sums its rows the same way, one piece per square-free n,
 so each S(N) is the correctly rounded sum of the rows up to N.
 ``sine_squared_identity_gap`` sums through ``math.fsum`` (also correctly
@@ -99,9 +104,9 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
     Each sum is the correctly rounded value of its float64 terms.  The
     terms of n <= max(Ns) are built once, whatever the number of points.
     """
-    Ns = [int(N) for N in Ns]
     for N in Ns:
         table._check_index(N)
+    Ns = [int(N) for N in Ns]
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError(f"N values must be strictly increasing, got {Ns}")
     if not Ns:
@@ -175,16 +180,10 @@ def _squarefree_divisors(n: int, spf: List[int]) -> List[int]:
 
 
 def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
-    if exact:
-        scale = 1
-        term = Fraction
-    else:
-        scale = FIXED_POINT_SCALE
-
-        def term(num: int, den: int) -> int:
-            # num * scale / den rounded to the nearest integer
-            return (2 * num * scale + den) // (2 * den)
-
+    sf = _squarefree_upto(table, n_max).tolist()
+    # every mu(n)/n and mu(n)/n^2 is a multiple of 1/lcm(sf)^2, so at that
+    # scale the rounded terms below are exact
+    scale = math.lcm(*sf) ** 2 if exact else FIXED_POINT_SCALE
     mu = table.mu[: n_max + 1].tolist()
     spf = _smallest_factors(0, n_max + 1).tolist()
     j2 = [0, 1] + [0] * (n_max - 1)  # J2 at the square-free n reached so far
@@ -192,14 +191,15 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     row_den = 12 * scale * scale
     P = D = G = 0
     A = [0] * (n_max + 1)
-    values: List[Value] = []
-    for n in _squarefree_upto(table, n_max).tolist():
+    rows = []
+    for n in sf:
         if n > 1:
             p = spf[n]
             j2[n] = (p * p - 1) * j2[n // p]
         nn = n * n
-        P += term(mu[n], n)
-        delta = term(mu[n], nn)
+        # mu(n) scale / n and mu(n) scale / n^2, rounded to the nearest integer
+        P += (2 * mu[n] * scale + n) // (2 * n)
+        delta = (2 * mu[n] * scale + nn) // (2 * nn)
         D += abs(delta)
         divs = _squarefree_divisors(n, spf)
         # A_d += delta for d | n; as sum_{d|n} J2(d) = n^2, that moves
@@ -207,8 +207,10 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
         G += delta * (2 * sum(j2[d] * A[d] for d in divs) + nn * delta)
         for d in divs:
             A[d] += delta
-        values.append((3 * P * P + G - four_scale * D) / row_den)
-    return values
+        rows.append(3 * P * P + G - four_scale * D)
+    if exact:
+        return [Fraction(v, row_den) for v in rows]
+    return [v / row_den for v in rows]
 
 
 def correlation_double_sum_sweep(
@@ -222,16 +224,16 @@ def correlation_double_sum_sweep(
     S(N) changes only at square-free N, so each route returns S at the
     square-free n <= n_max (``_fast_sweep`` or ``_direct_sweep``) and this
     function alone repeats each value up to the next square-free n.
-    Exact modes accumulate Fractions.  Both fast sweeps run one loop:
-    each new square-free n updates P, D, G and A_d for every d | n, with
-    divisors from the smallest prime factors to n_max
-    (``arithmetic._smallest_factors``).  The sweep reads J2 only at
+    Both fast sweeps run one integer loop, at an exact scale in exact
+    mode (module docstring): each new square-free n updates P, D, G and
+    A_d for every d | n, with divisors from the smallest prime factors
+    to n_max (``arithmetic._smallest_factors``).  The sweep reads J2 only at
     square-free d, so it sets J2(n) = (p^2 - 1) J2(n/p), p the smallest
     prime factor, as it reaches each square-free n: the recurrence of
     ``arithmetic.build_jordan2`` where p never divides n/p.
-    The float fast sweep carries the sums as integers scaled by
-    FIXED_POINT_SCALE and rounds each row once.  The direct sweeps add
-    one row of pairs (n, m < n) per square-free n.
+    The fast sweep makes one Fraction per row in exact mode and rounds
+    each row once in float mode.  The direct sweeps add one row of pairs
+    (n, m < n) per square-free n; the exact one accumulates Fractions.
     """
     table._check_index(n_max)
     rows = (_fast_sweep if fast else _direct_sweep)(table, n_max, exact)
@@ -287,7 +289,7 @@ def residual_moment_report(table: MoebiusTable, N: int) -> Fraction:
     of L/n.  Between consecutive jumps t0 < t1 the integrand is linear,
     from a to b, so its integral there is (t1 - t0)(a^2 + ab + b^2)/3.
     """
-    table._check_index(N)
+    S = correlation_double_sum(table, N, exact=True)  # its guards come first
     sf = _squarefree_upto(table, N).tolist()
     mu = table.mu[: N + 1].tolist()
     L = math.lcm(*sf)
@@ -304,8 +306,7 @@ def residual_moment_report(table: MoebiusTable, N: int) -> Fraction:
         c += jumps[t1]
         t0 = t1
     value = Fraction(total, 3 * L**3)
-    books = Fraction(sum((L // n) ** 2 for n in sf), 3 * L * L)
-    books += correlation_double_sum(table, N, exact=True)
+    books = Fraction(sum((L // n) ** 2 for n in sf), 3 * L * L) + S
     if value != books:
         raise AssertionError(f"E[s_N^2] = {value} but D(N)/3 + S(N) = {books} at N={N}")
     return value

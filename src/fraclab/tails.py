@@ -59,7 +59,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_sums, _sorted_distinct
+from .arithmetic import MoebiusTable, _check_integer, _range_sums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -70,6 +70,8 @@ MAX_FLOOR_UX = 10**6
 
 
 def _check_range(table: MoebiusTable, N: int, U: int) -> None:
+    _check_integer(N)
+    _check_integer(U)
     if not 1 <= N < U <= table.limit:
         raise ValueError(
             f"need 1 <= N < U <= {table.limit}, got N={N}, U={U}"
@@ -160,32 +162,32 @@ def _jumps(N: int, U: int, p: int, q: int) -> np.ndarray:
     return np.arange(N * p // q + 1, k1 + 1, dtype=np.int64)
 
 
-def _jump_sum(M: np.ndarray, N: int, U: int, p: int, q: int) -> float:
+def _jump_sum(M: np.ndarray, N: int, k: np.ndarray, p: int, q: int) -> float:
     """x * sum over jump points u0 = k/x in (N, U] of M(u0^-) / k, with
-    ``M[i]`` = M(N + i) for 0 <= i <= U - N.
+    ``k`` = ``_jumps(N, U, p, q)`` and ``M[i]`` = M(N + i) for
+    0 <= i <= U - N.
 
     M steps at the integers, so its left limit at u0 = kq/p is
     M(ceil(u0) - 1) = M((kq - 1) // p): one index lower when u0 is an
     integer.
     """
-    k = _jumps(N, U, p, q)
     left = M[(k * q - 1) // p - N].astype(np.float64)
     return math.fsum((left * (p / q) / k).tolist())
 
 
 def _step_pieces(
-    M: np.ndarray, N: int, U: int, p: int, q: int
+    M: np.ndarray, N: int, U: int, k: np.ndarray, p: int, q: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (t0, t1, M, floor(ux)) of the pieces of [N, U] scaled by
-    t = u * p, with ``M[i]`` = M(N + i) for 0 <= i <= U - N.
+    t = u * p, with ``k`` = ``_jumps(N, U, p, q)`` and ``M[i]`` = M(N + i)
+    for 0 <= i <= U - N.
 
     The breakpoints are the multiples of p (integer u, where M steps) and
     of q (jump points of {ux}) in [Np, Up], merged by concatenating,
     sorting and dropping equal neighbours; on each closed-open piece both
     M(u) = M(t0 // p) and floor(ux) = t0 // q are constant.
     """
-    jumps = _jumps(N, U, p, q) * q  # the guard first: jumps set the piece count
-    bp = _sorted_distinct(np.concatenate((np.arange(N, U + 1, dtype=np.int64) * p, jumps)))
+    bp = _sorted_distinct(np.concatenate((np.arange(N, U + 1, dtype=np.int64) * p, k * q)))
     t0, t1 = bp[:-1], bp[1:]
     return t0, t1, M[t0 // p - N], t0 // q
 
@@ -202,6 +204,7 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     _check_range(table, N, U)
     xf = _coerce_x(x)
     p, q = xf.numerator, xf.denominator
+    k = _jumps(N, U, p, q)  # the MAX_FLOOR_UX guard, before any sum
 
     # mu(n) {nx} / n term by term; mu r, q and n are exact in float64, so
     # each division rounds as Python's int / int does
@@ -215,13 +218,13 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
         - int(M[0]) * ((N * p) % q) / q / N
     )
     drift = -(p / q) * _tail_sums(lambda a, b: M[a - N : b - N], N, [U])[1][0]
-    t0, t1, m, a = _step_pieces(M, N, U, p, q)
+    t0, t1, m, a = _step_pieces(M, N, U, k, p, q)
     # math.log1p per piece: np.log1p may differ from it in the last bit
     logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
     # a * float(p): a p < 2^53 under MAX_FLOOR_UX, so the float product is exact
     frac_terms = m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0))
     frac_integral = math.fsum(frac_terms.tolist())
-    rhs = boundary + drift + frac_integral + _jump_sum(M, N, U, p, q)
+    rhs = boundary + drift + frac_integral + _jump_sum(M, N, k, p, q)
     return abs(lhs - rhs)
 
 
@@ -251,9 +254,9 @@ def classical_bound_report(
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be positive and finite, got {c}")
-    cuts = [int(N) for N in cutoffs]
-    for N in cuts:
+    for N in cutoffs:
         table._check_index(N)
+    cuts = [int(N) for N in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
     # a cutoff at the limit gets the empty tail 0.0; the zip below drops

@@ -174,6 +174,32 @@ def test_mertens_examples(table4):
         fraclab.mertens(table4, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: fraclab.sine_series_partial(t, 2.9, 0.1),
+        lambda t: fraclab.classical_bound_report(t, [2.5]),
+        lambda t: fraclab.squarefree_count(t, True),
+        lambda t: fraclab.sine_squared_identity_gap(t, True, 0.1),
+        lambda t: fraclab.mertens(t, 2.5),
+        lambda t: fraclab.correlation_double_sum_sweep(t, 2.5),
+        lambda t: fraclab.tail_integral_u2(t, 1.5, 3),
+        lambda t: fraclab.residual_moment_report(t, 2.5),
+    ],
+    ids=["sine", "report", "count", "identity", "mertens", "sweep", "tail", "moment"],
+)
+def test_table_readers_refuse_non_integer_index(table4, call):
+    # a float is not cut to an int and a bool is not read as 0 or 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(table4)
+
+
+def test_table_readers_take_numpy_integers(table4):
+    assert fraclab.mertens(table4, np.int64(5)) == -2
+    assert fraclab.squarefree_count(table4, np.int32(10)) == 7
+    assert fraclab.tail_integral_u2(table4, np.int64(1), np.uint16(3)) == 0.5
+
+
 def test_mertens_decade_values(table6):
     # well-known reference values
     assert fraclab.mertens(table6, 10**3) == 2

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,12 +111,24 @@ def test_double_sum_empty_and_first_pair(table4):
 
 
 def test_double_sum_routes_agree_exactly(table4):
-    direct = fraclab.correlation_double_sum_sweep(table4, 60, fast=False, exact=True)
-    fast = fraclab.correlation_double_sum_sweep(table4, 60, fast=True, exact=True)
-    assert direct == fast
-    spot = fraclab.correlation_double_sum(table4, 60, exact=True)
-    assert spot == direct[-1]
-    assert fraclab.correlation_double_sum_fast(table4, 60, exact=True) == spot
+    # 59 is prime, so the fast sweep's exact scale gains a factor 59^2 there
+    for n_max in (1, 2, 59, 60):
+        direct = fraclab.correlation_double_sum_sweep(table4, n_max, fast=False, exact=True)
+        fast = fraclab.correlation_double_sum_sweep(table4, n_max, fast=True, exact=True)
+        assert direct == fast, n_max
+        for value in fast:
+            assert type(value.numerator) is int and type(value.denominator) is int
+        spot = fraclab.correlation_double_sum(table4, n_max, exact=True)
+        assert spot == direct[-1]
+        assert fraclab.correlation_double_sum_fast(table4, n_max, exact=True) == spot
+
+
+def test_exact_fast_sweep_makes_one_fraction_per_row(table4):
+    # the loop runs on integers at an exact scale; only each row's value
+    # becomes a Fraction
+    with mock.patch.object(series, "Fraction", wraps=Fraction) as fraction:
+        fraclab.correlation_double_sum_sweep(table4, 300, fast=True, exact=True)
+    assert fraction.call_count == fraclab.squarefree_count(table4, 300)
 
 
 def test_float_fast_sweep_is_correctly_rounded(table4):
@@ -248,3 +261,12 @@ def test_residual_moment_bookkeeping(table4):
         assert moment == D / 3 + direct[N - 1] == D / 3 + fast[N - 1]
     assert moment * math.pi**2 == pytest.approx(0.5051844277730189, rel=1e-15)
     assert fraclab.residual_moment_report(table4, 1) == Fraction(1, 3)
+
+
+def test_residual_moment_guard_comes_first(table4, monkeypatch):
+    def no_mertens(*args):
+        pytest.fail("the jump loop ran before the exact direct guard")
+
+    monkeypatch.setattr(series, "mertens", no_mertens)
+    with pytest.raises(ValueError, match="capped"):
+        fraclab.residual_moment_report(table4, DIRECT_EXACT_LIMIT + 1)

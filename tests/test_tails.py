@@ -225,9 +225,11 @@ def test_abel_shares_mertens_from_mu(table6, N, width):
     assume(N < U)
     with mock.patch.object(tails, "_jump_sum", wraps=tails._jump_sum) as jump, \
             mock.patch.object(tails, "_step_pieces", wraps=tails._step_pieces) as steps, \
+            mock.patch.object(tails, "_jumps", wraps=tails._jumps) as jumps, \
             mock.patch.object(tails, "_MertensRun", wraps=tails._MertensRun) as runs:
         assert fraclab.abel_identity_check(table6, N, U, Fraction(1, 7)) < 1e-9
     assert runs.call_count == 1  # the drift term sums over the same M
+    assert jumps.call_count == 1  # both the pieces and the jump sum take k
     shared = jump.call_args.args[0]
     assert steps.call_args.args[0] is shared  # built once per call
     assert np.array_equal(shared, mertens_array(table6)[N : U + 1])
@@ -378,8 +380,10 @@ def test_abel_tie_break_at_coincident_jumps(table4):
         assert fraclab.abel_identity_check(table4, N, U, Fraction(1, 2)) < 1e-9
     # one jump in each range: the jump sum is x M(u^-) / k at index (kq - 1) // p
     M = mertens_array(table4)
-    assert tails._jump_sum(M[1:3], 1, 2, 1, 2) == 0.5 * int(M[1])  # u = 2
-    assert tails._jump_sum(M[2:4], 2, 3, 2, 5) == 0.4 * int(M[2])  # u = 5/2
+    k = tails._jumps(1, 2, 1, 2)
+    assert tails._jump_sum(M[1:3], 1, k, 1, 2) == 0.5 * int(M[1])  # u = 2
+    k = tails._jumps(2, 3, 2, 5)
+    assert tails._jump_sum(M[2:4], 2, k, 2, 5) == 0.4 * int(M[2])  # u = 5/2
 
 
 def test_abel_rejects_bad_x(table4):
@@ -420,10 +424,14 @@ def test_abel_large_numerator_does_not_wrap(table6):
         (9990, 9991, Fraction(2 * 10**9 + 1, 1000), False),
     ],
 )
-def test_abel_guard_is_floor_ux(table4, N, U, x, ok):
+def test_abel_guard_is_floor_ux(monkeypatch, table4, N, U, x, ok):
     if ok:
         assert fraclab.abel_identity_check(table4, N, U, x) < 1e-9
     else:
+        def no_mertens(*args):
+            pytest.fail("the Abel sums ran before the MAX_FLOOR_UX guard")
+
+        monkeypatch.setattr(tails, "_MertensRun", no_mertens)
         with pytest.raises(ValueError, match="past the limit MAX_FLOOR_UX = 1000000"):
             fraclab.abel_identity_check(table4, N, U, x)
 
@@ -441,7 +449,8 @@ def floor_sum_expansion(table, N, U, p, q):
         int(M[U]) * (U * p // q) / U
         - int(M[N]) * (N * p // q) / N
     )
-    pieces = (v.tolist() for v in tails._step_pieces(M[N : U + 1], N, U, p, q))
+    k = tails._jumps(N, U, p, q)
+    pieces = (v.tolist() for v in tails._step_pieces(M[N : U + 1], N, U, k, p, q))
     floor_integral = math.fsum(
         m * a * p * (1.0 / t0 - 1.0 / t1) for t0, t1, m, a in zip(*pieces)
     )
@@ -454,7 +463,8 @@ def floor_sum_expansion(table, N, U, p, q):
 def test_floor_sum_identity(table4):
     # the jump sum of the Abel identity, checked on its own
     for N, U, p, q in [(10, 50, 1, 2), (3, 97, 5, 7)]:
-        jumps = tails._jump_sum(mertens_array(table4)[N : U + 1], N, U, p, q)
+        M = mertens_array(table4)[N : U + 1]
+        jumps = tails._jump_sum(M, N, tails._jumps(N, U, p, q), p, q)
         assert abs(jumps - floor_sum_expansion(table4, N, U, p, q)) < 1e-9
 
 
