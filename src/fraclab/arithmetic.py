@@ -38,8 +38,8 @@ as integers at a scale where every term is exact.
 ``_range_sums`` sums a term sequence exactly over many prefixes in one
 pass, as integers scaled by 2^1074, and rounds each prefix or tail (the
 whole sum less a prefix) once: bit for bit what ``math.fsum`` over the
-range's own terms gives.  The tail
-integrals and the sine series use it.
+range's own terms gives.  The tail sums of ``tails`` and criterion 12,
+the sine series and the float direct double-sum sweep use it.
 """
 
 from __future__ import annotations
@@ -75,11 +75,24 @@ class MoebiusTable:
         if not 1 <= n <= self.limit:
             raise IndexError(f"n={n} outside table range 1..{self.limit}")
 
+    def _check_increasing(self, Ns: Sequence[int], what: str) -> list[int]:
+        """``Ns`` as ints, each an index; ValueError on ``what`` unless they strictly increase."""
+        for N in Ns:
+            self._check_index(N)
+        Ns = [int(N) for N in Ns]
+        if any(b <= a for a, b in zip(Ns, Ns[1:])):
+            raise ValueError(f"{what} must be strictly increasing, got {Ns}")
+        return Ns
+
+
+def _is_integer_type(kind: type) -> bool:
+    """The integer rule of indices and of n, m and X: numpy's integers pass, bool fails."""
+    return issubclass(kind, Integral) and not issubclass(kind, bool)
+
 
 def _check_integer(n: int) -> None:
-    """ValueError unless ``n`` is an integer, numpy's included, and not a
-    bool: the rule ``exact._check_pair`` applies to n, m and X."""
-    if not isinstance(n, Integral) or isinstance(n, bool):
+    """ValueError unless ``n`` is of an integer type (``_is_integer_type``)."""
+    if not _is_integer_type(type(n)):
         raise ValueError(f"index must be an integer, got {n!r}")
 
 

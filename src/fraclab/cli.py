@@ -14,9 +14,9 @@ or any ``ValueError`` from the library; a bug, not bad input).  CSV
 output is deterministic: a fixed configuration yields byte-identical
 bytes on every run.
 
---limit is the ceiling of the sieve.  sieve and tails read the table up
-to --limit; sine-series, series and figure2 read only to --n-max, and
-verify only to the 10^6 its criteria use.
+--limit is the ceiling of the sieve, in 1..MAX_LIMIT, checked first in
+``main``.  sieve and tails read the table up to --limit; sine-series,
+series and figure2 read only to --n-max, and verify only to the 10^6.
 
 The sieve cache path comes from --cache, falling back to the
 FRACLAB_CACHE environment variable.  With a cache a command reads just
@@ -62,20 +62,16 @@ def _preflight(args: argparse.Namespace, needed: int) -> None:
         raise ConfigError(
             f"sieve_limit {args.limit} is below the {needed} this command needs"
         )
-    if args.limit < 1 or args.limit > arithmetic.MAX_LIMIT:
-        raise ConfigError(
-            f"sieve_limit must be in 1..{arithmetic.MAX_LIMIT}, got {args.limit}"
-        )
 
 
 def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
     """The read-only table of mu(1..read) for a command that reads that
     prefix, whatever the cache holds.
 
-    ``--limit`` is a ceiling, checked by ``_preflight``.  The prefix comes
-    from the cache, read only that far, when it reaches it; otherwise it
-    is sieved, to ``read`` without a cache path, else to ``--limit`` and
-    saved, and the prefix of that table returned.
+    ``--limit`` is a ceiling, checked by ``main`` and ``_preflight``.  The
+    prefix comes from the cache, read only that far, when it reaches it;
+    otherwise it is sieved, to ``read`` without a cache path, else to
+    ``--limit`` and saved, and the prefix of that table returned.
     """
     _preflight(args, read)
     limit = args.limit
@@ -121,7 +117,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sieve(args: argparse.Namespace) -> int:
-    _preflight(args, 1)
     table = _get_table(args, args.limit)
     lines = [
         f"limit,{table.limit}",
@@ -140,7 +135,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"n + m = {n + m} exceeds the pair size limit {exact.PAIR_SIZE_LIMIT}"
         )
-    _preflight(args, 1)  # correlations never touch the sieve
     if args.method == "closed-form":
         value = exact.correlation_closed_form(n, m)
     else:
@@ -152,7 +146,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _n_grid(n_max: int, points: int) -> List[int]:
-    grid = np.rint(np.geomspace(1, n_max, points)).astype(int)
+    # a one-point grid is n_max, where every longer grid ends
+    grid = np.rint(np.geomspace(1 if points > 1 else n_max, n_max, points)).astype(int)
     return arithmetic._sorted_distinct(grid).tolist()
 
 
@@ -197,7 +192,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    _preflight(args, 1)
     _emit(args, figures.figure1_csv(args.digits))
     return 0
 
@@ -333,6 +327,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     args.cache = args.cache or os.environ.get(CACHE_ENV_VAR) or None
     try:
+        if not 1 <= args.limit <= arithmetic.MAX_LIMIT:
+            raise ConfigError(
+                f"sieve_limit must be in 1..{arithmetic.MAX_LIMIT}, got {args.limit}"
+            )
         _require_positive("--digits", args.digits)
         return args.run(args)
     except (AssertionError, ValueError) as exc:

@@ -90,12 +90,12 @@ rather than a tautology.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterable, List, Tuple
 
 import numpy as np
+
+from .arithmetic import _is_integer_type
 
 #: input policy: the largest n + m a request may have.  The engine's
 #: dtype follows from each chunk's T, so this bounds no int64 work.
@@ -108,19 +108,11 @@ ENGINE_CHUNK = 4096
 INT64_SIZE = 2**19
 
 def _integers(a: np.ndarray) -> np.ndarray:
-    """True where an entry of ``a`` is an integer and not a bool."""
+    """True where an entry of ``a`` is of an integer type, looked up once per type."""
     if a.dtype.kind in "iu":
         return np.ones(a.shape, dtype=bool)
-    kinds = {k: issubclass(k, Integral) and not issubclass(k, bool) for k in set(map(type, a))}
+    kinds = {k: _is_integer_type(k) for k in set(map(type, a))}
     return np.fromiter(map(kinds.get, map(type, a)), dtype=bool, count=a.size)
-
-
-def _check_pair(n: int, m: int) -> None:
-    if not _integers(np.array([n, m], dtype=object)).all() or n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive integers, got ({n}, {m})")
-    n, m = int(n), int(m)  # a sum of numpy scalars could wrap
-    if n + m > PAIR_SIZE_LIMIT:
-        raise ValueError(f"n + m = {n + m} exceeds the pair size limit {PAIR_SIZE_LIMIT}")
 
 
 def _floor_sums(
@@ -184,13 +176,19 @@ def _sweep_totals(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _lattices(n: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(L, p, q) = (lcm(n, m), L/n, L/m), int64 as L <= 2.5 10^11, for the
-    arrays n and m after one check of all pairs, which names the first bad one."""
-    ok = _integers(n) & _integers(m)
-    ok[ok] = (np.minimum(n[ok], m[ok]) >= 1) & (np.maximum(n[ok], m[ok]) < PAIR_SIZE_LIMIT)
+    """(L, p, q) = (lcm(n, m), L/n, L/m), int64 as L <= 2.5 10^11, for arrays n, m
+    of positive integers with n + m <= PAIR_SIZE_LIMIT; a ValueError names the first bad pair."""
+    positive = _integers(n) & _integers(m)
+    positive[positive] = np.minimum(n[positive], m[positive]) >= 1
+    ok = positive.copy()
+    ok[ok] = np.maximum(n[ok], m[ok]) < PAIR_SIZE_LIMIT
     ok[ok] = n[ok] + m[ok] <= PAIR_SIZE_LIMIT  # cannot wrap, both are below the limit
     if not ok.all():
-        _check_pair(n[ok.argmin()], m[ok.argmin()])
+        i = ok.argmin()
+        if not positive[i]:
+            raise ValueError(f"n and m must be positive integers, got ({n[i]}, {m[i]})")
+        size = int(n[i]) + int(m[i])  # a sum of numpy scalars could wrap
+        raise ValueError(f"n + m = {size} exceeds the pair size limit {PAIR_SIZE_LIMIT}")
     n, m = n.astype(np.int64), m.astype(np.int64)
     g = np.gcd(n, m)
     return n * (m // g), m // g, n // g
@@ -222,7 +220,7 @@ def expected_correlations(triples: Iterable[Tuple[int, int, int]]) -> List[Fract
     if not ok.all():
         i = ok.argmin()
         _lattices(n[:i], m[:i])  # the first failing triple raises
-        if not _integers(X[i : i + 1])[0]:
+        if not _is_integer_type(type(X[i])):
             raise ValueError(f"X must be a positive integer, got {X[i]!r}")
         raise ValueError(f"X must be >= 1, got {X[i]}")
     L, p, q = _lattices(n, m)
@@ -258,7 +256,6 @@ def expected_correlation(n: int, m: int, X: int) -> Fraction:
 
 def correlation_closed_form(n: int, m: int) -> Fraction:
     """1/4 + gcd(n, m)^2 / (12 n m), the closed-form correlation law."""
-    _check_pair(n, m)
-    g = math.gcd(n, m)
-    return Fraction(1, 4) + Fraction(g * g, 12 * n * m)
+    _, p, q = _lattices(np.array([n], dtype=object), np.array([m], dtype=object))
+    return Fraction(1, 4) + Fraction(1, 12 * int(p[0]) * int(q[0]))  # g^2 / (n m) = 1 / (p q)
 

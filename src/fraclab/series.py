@@ -104,11 +104,7 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
     Each sum is the correctly rounded value of its float64 terms.  The
     terms of n <= max(Ns) are built once, whatever the number of points.
     """
-    for N in Ns:
-        table._check_index(N)
-    Ns = [int(N) for N in Ns]
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError(f"N values must be strictly increasing, got {Ns}")
+    Ns = table._check_increasing(Ns, "N values")
     if not Ns:
         return []
     if not math.isfinite(x * Ns[-1]):

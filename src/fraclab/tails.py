@@ -254,11 +254,7 @@ def classical_bound_report(
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be positive and finite, got {c}")
-    for N in cutoffs:
-        table._check_index(N)
-    cuts = [int(N) for N in cutoffs]
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
+    cuts = table._check_increasing(cutoffs, "cutoffs")
     # a cutoff at the limit gets the empty tail 0.0; the zip below drops
     # the tail from the limit bound itself
     start = cuts[0] if cuts else table.limit

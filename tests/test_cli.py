@@ -369,10 +369,28 @@ def test_preflight_limit_error(capsys):
     assert "sieve_limit" in err
 
 
-def test_invalid_limit_rejected(capsys):
-    rc, _, err = run_cli(["sieve", "--limit", "0"], capsys)
-    assert rc == 2
-    assert "sieve_limit" in err
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sieve"],
+        ["correlate", "--n", "0", "--m", "6"],
+        ["sine-series", "--x", "nan"],
+        ["series", "--n-max", "0"],
+        ["figure1"],
+        ["figure2"],
+        ["tails", "--cutoffs", "0"],
+        ["verify", "--only", "99"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("limit", ["0", "100000001"])
+def test_invalid_limit_rejected(monkeypatch, capsys, args, limit):
+    # checked once, in main, before every other flag (--digits 0 included)
+    monkeypatch.setattr(cli, "build_tables", None)
+    rc, out, err = run_cli(args + ["--digits", "0", "--limit", limit], capsys)
+    assert (rc, out, err) == (
+        2, "", f"fraclab: error: sieve_limit must be in 1..100000000, got {limit}\n"
+    )
 
 
 def _value_error(T, total):
@@ -495,11 +513,13 @@ def test_verify_known_failing_criterion(capsys, table6):
 @given(st.integers(1, arithmetic.MAX_LIMIT), st.integers(1, 10**5))
 @example(1, 1)
 @example(10, 1000)
+@example(1000, 1)
 @example(arithmetic.MAX_LIMIT, cli.MAX_POINTS)
 def test_n_grid_is_the_sorted_set(n_max, points):
-    raw = np.rint(np.geomspace(1, n_max, points)).astype(int)
+    # one point is n_max itself; geomspace alone would give [1]
+    raw = np.rint(np.geomspace(1, n_max, points)).astype(int).tolist() if points > 1 else [n_max]
     grid = cli._n_grid(n_max, points)
-    assert grid == sorted(set(raw.tolist()))
+    assert grid == sorted(set(raw))
     assert all(type(N) is int for N in grid)
 
 

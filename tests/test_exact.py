@@ -241,7 +241,7 @@ def test_batch_longer_than_a_chunk(monkeypatch):
     values = fraclab.expected_correlations(triples)
     assert values == [fraclab.expected_correlation(*triple) for triple in triples]
     assert values[-1] == fraclab.correlation_closed_form(499999, 500000)
-    # one bad pair in the middle of the batch is named in _check_pair's words
+    # one bad pair in the middle of the batch is named in the one-pair words
     for bad, message in [((0, 7), r"positive integers, got \(0, 7\)"),
                          ((600000, 500000), r"n \+ m = 1100000 exceeds the pair size limit")]:
         pairs[10] = bad
@@ -254,13 +254,89 @@ def test_batch_longer_than_a_chunk(monkeypatch):
         exact._correlation_terms(*np.array(pairs).T)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _pair_message(n, m):
+    """What the pair rule says of (n, m), or None when the pair is good."""
+    if not (_is_int(n) and _is_int(m)) or min(n, m) < 1:
+        return f"n and m must be positive integers, got ({n}, {m})"
+    if n + m > exact.PAIR_SIZE_LIMIT:
+        return f"n + m = {n + m} exceeds the pair size limit {exact.PAIR_SIZE_LIMIT}"
+    return None
+
+
+def _row_message(n, m, X):
+    """What is said of the triple (n, m, X): a bad X is named before a bad pair."""
+    if not _is_int(X):
+        return f"X must be a positive integer, got {X!r}"
+    if X < 1:
+        return f"X must be >= 1, got {X}"
+    return _pair_message(n, m)
+
+
+good_rows = st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 3))
+
+
+@st.composite
+def bad_rows(draw):
+    """A good row with one or more faults: a float, a bool, 0 or a negative
+    n or m, n + m one past the limit, X = 0 or X = 2.5."""
+    n, m, X = draw(good_rows)
+    faults = draw(st.sets(st.sampled_from(["size", "n", "m", "X"]), min_size=1))
+    if "size" in faults:
+        k = draw(st.integers(1, exact.PAIR_SIZE_LIMIT))
+        n, m = exact.PAIR_SIZE_LIMIT + 1 - k, k
+    bad_entry = st.sampled_from([2.5, True, 0, -3])
+    n = draw(bad_entry) if "n" in faults else n
+    m = draw(bad_entry) if "m" in faults else m
+    X = draw(st.sampled_from([0, 2.5])) if "X" in faults else X
+    return n, m, X
+
+
+@st.composite
+def mixed_batches(draw):
+    rows = draw(st.lists(good_rows, max_size=5))
+    for row in draw(st.lists(bad_rows(), min_size=1, max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def _raised(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+@given(rows=mixed_batches())
+@settings(max_examples=150)
+@example(rows=[(0, 7, 0)])                                      # the X message
+@example(rows=[(1, 2, 1), (600000, 500000, 1), (2.5, 3, 1)])   # the size fault
+@example(rows=[(1, 2, 1), (2.5, 3, 1), (1, 2, 0)])             # (2.5, 3)
+def test_one_pair_rule_names_the_first_bad_row(rows):
+    first = next(row for row in rows if _row_message(*row))
+    said = _row_message(*first)
+    assert _raised(fraclab.expected_correlations, rows) == said
+    assert _raised(fraclab.expected_correlation, *first) == said
+    n, m = (np.array(column, dtype=object) for column in list(zip(*rows))[:2])
+    bad_pairs = [(a, b) for a, b, _ in rows if _pair_message(a, b)]
+    if not bad_pairs:
+        assert len(exact._correlation_terms(n, m)[0]) == len(rows)
+        return
+    said = _pair_message(*bad_pairs[0])
+    assert _raised(exact._correlation_terms, n, m) == said
+    assert _raised(fraclab.exact_correlation, *bad_pairs[0]) == said
+    assert _raised(fraclab.correlation_closed_form, *bad_pairs[0]) == said
+
+
 @given(a=st.integers(1, 10**9), b=st.integers(1, 10**9), k=st.integers(1, 10**9))
 @settings(max_examples=200)
 @example(a=10**9, b=10**9 - 1, k=10**9)
 @example(a=1, b=10**9, k=1)
 def test_engine_matches_law_past_the_pair_guard(a, b, k):
-    # n, m up to 10^18: the lattice is built here, below _check_pair's
-    # input policy, and the law written out
+    # n, m up to 10^18: the lattice is built here, below the pair rule of
+    # _lattices, and the law written out
     n, m = k * a, k * b
     g = math.gcd(n, m)
     p, q = m // g, n // g
