@@ -10,6 +10,7 @@ integrals.  See the ``fraclab`` command for the CSV front end and the
 """
 
 from .arithmetic import (
+    InputError,
     MoebiusTable,
     build_jordan2,
     build_tables,
@@ -46,6 +47,7 @@ from .tails import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "InputError",
     "MoebiusTable",
     "build_jordan2",
     "build_tables",

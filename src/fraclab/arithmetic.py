@@ -61,6 +61,10 @@ MAX_LIMIT = 10**8
 CACHE_MAGIC = b"MUV1"
 
 
+class InputError(ValueError):
+    """Bad input, refused before any real work: exit 2 in the CLI, a ValueError to callers."""
+
+
 @dataclass(frozen=True)
 class MoebiusTable:
     """The Moebius function indexed 1..limit (index 0 is padding), one
@@ -76,12 +80,12 @@ class MoebiusTable:
             raise IndexError(f"n={n} outside table range 1..{self.limit}")
 
     def _check_increasing(self, Ns: Sequence[int], what: str) -> list[int]:
-        """``Ns`` as ints, each an index; ValueError on ``what`` unless they strictly increase."""
+        """``Ns`` as ints, each an index; InputError on ``what`` unless they strictly increase."""
         for N in Ns:
             self._check_index(N)
         Ns = [int(N) for N in Ns]
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
-            raise ValueError(f"{what} must be strictly increasing, got {Ns}")
+            raise InputError(f"{what} must be strictly increasing, got {Ns}")
         return Ns
 
 
@@ -91,9 +95,14 @@ def _is_integer_type(kind: type) -> bool:
 
 
 def _check_integer(n: int) -> None:
-    """ValueError unless ``n`` is of an integer type (``_is_integer_type``)."""
+    """InputError unless ``n`` is of an integer type (``_is_integer_type``)."""
     if not _is_integer_type(type(n)):
-        raise ValueError(f"index must be an integer, got {n!r}")
+        raise InputError(f"index must be an integer, got {n!r}")
+
+
+def _check_limit(limit: int) -> None:
+    if not 1 <= limit <= MAX_LIMIT:
+        raise InputError(f"sieve_limit must be in 1..{MAX_LIMIT}, got {limit}")
 
 
 def _frozen_table(limit: int, mu: np.ndarray) -> MoebiusTable:
@@ -135,10 +144,7 @@ def build_tables(limit: int) -> MoebiusTable:
     0.  The peak is the one-byte-per-entry table plus one block's scratch.
     Output is deterministic for a given limit, and the array is read-only.
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    if limit > MAX_LIMIT:
-        raise ValueError(f"sieve limit {limit} exceeds the {MAX_LIMIT} memory guard")
+    _check_limit(limit)
     primes = _primes_upto(math.isqrt(limit))
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0

@@ -7,12 +7,12 @@ subcommands.  ``figure2`` runs ``cmd_series``: it is ``series`` without
 ``--exact``.  Every CSV table (a header row, then one line per row)
 is rendered by ``figures.csv_text``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error (a ``ConfigError``, raised before any sieve), 3 I/O error, 4
-internal error (an identity checked on the program's own results failed,
-or any ``ValueError`` from the library; a bug, not bad input).  CSV
-output is deterministic: a fixed configuration yields byte-identical
-bytes on every run.
+Exit codes: 0 success, 1 verification failure, 2 usage error or bad
+input (an ``InputError``, from a flag check here or an entry check of the
+library, each rule written once), 3 I/O error, 4 internal error (any
+other exception, a failed identity on the program's own results
+included; a bug, not bad input).  CSV output is deterministic: a fixed
+configuration yields byte-identical bytes on every run.
 
 --limit is the ceiling of the sieve, in 1..MAX_LIMIT, checked first in
 ``main``.  sieve and tails read the table up to --limit; sine-series,
@@ -33,13 +33,13 @@ import argparse
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from . import acceptance, arithmetic, exact, figures, series, tails
-from .arithmetic import MoebiusTable, build_tables, load_cache, save_cache
-from .formatting import rational_string
+from .arithmetic import InputError, MoebiusTable, build_tables, load_cache, save_cache
+from .formatting import _check_digits, rational_string
 
 DEFAULT_LIMIT = 10**6
 CACHE_ENV_VAR = "FRACLAB_CACHE"
@@ -49,19 +49,13 @@ CACHE_ENV_VAR = "FRACLAB_CACHE"
 MAX_POINTS = 10**6
 
 
-class ConfigError(Exception):
-    """Bad configuration detected before any real work starts."""
-
-
 def _warn(message: str) -> None:
     print(f"fraclab: warning: {message}", file=sys.stderr)
 
 
 def _preflight(args: argparse.Namespace, needed: int) -> None:
     if args.limit < needed:
-        raise ConfigError(
-            f"sieve_limit {args.limit} is below the {needed} this command needs"
-        )
+        raise InputError(f"sieve_limit {args.limit} is below the {needed} this command needs")
 
 
 def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
@@ -101,7 +95,19 @@ def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
 
 def _require_positive(flag: str, value: int) -> None:
     if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
+def _int_list(text: str, ok: Callable[[int], bool], rule: str) -> List[int]:
+    """The distinct comma-separated integers of ``text``, sorted; InputError
+    on ``rule`` unless there is one or more and ``ok`` holds for each."""
+    try:
+        values = sorted({int(v) for v in text.split(",") if v.strip()})
+    except ValueError:
+        values = []
+    if not values or not all(map(ok, values)):
+        raise InputError(f"{rule}, got {text!r}")
+    return values
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -129,12 +135,8 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     n, m, X = args.n, args.m, args.x_range
-    for flag, value in (("--n", n), ("--m", m), ("--x-range", X)):
-        _require_positive(flag, value)
-    if n + m > exact.PAIR_SIZE_LIMIT:
-        raise ConfigError(
-            f"n + m = {n + m} exceeds the pair size limit {exact.PAIR_SIZE_LIMIT}"
-        )
+    # the library checks n and m before any engine work; closed-form never sees X
+    _require_positive("--x-range", X)
     if args.method == "closed-form":
         value = exact.correlation_closed_form(n, m)
     else:
@@ -155,17 +157,12 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
     _require_positive("--points", args.points)
     if args.points > MAX_POINTS:
-        raise ConfigError(f"--points must be <= {MAX_POINTS}, got {args.points}")
+        raise InputError(f"--points must be <= {MAX_POINTS}, got {args.points}")
     x = args.x
-    if not math.isfinite(x):
-        raise ConfigError(f"--x must be a finite number, got {x}")
-    if not math.isfinite(2.0 * math.pi * x):
-        raise ConfigError(f"--x is too large: 2 pi x overflows, got {x}")
     _preflight(args, args.n_max)  # else a huge --n-max overflows in x * n_max
-    if not math.isfinite(x * args.n_max):
-        raise ConfigError(
-            f"x must be finite with x * N finite up to N={args.n_max}, got x={x}"
-        )
+    series._check_x(x, args.n_max)
+    if not math.isfinite(2.0 * math.pi * x):
+        raise InputError(f"--x is too large: 2 pi x overflows, got {x}")
     table = _get_table(args, args.n_max)
     target = math.sin(2.0 * math.pi * x)
     grid = _n_grid(args.n_max, args.points)
@@ -179,10 +176,8 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     _require_positive("--n-max", args.n_max)
-    if args.exact and args.naive and args.n_max > series.DIRECT_EXACT_LIMIT:
-        raise ConfigError(
-            f"exact direct sweep capped at N={series.DIRECT_EXACT_LIMIT}, got {args.n_max}"
-        )
+    if args.exact and args.naive:
+        series._check_direct_exact(args.n_max)
     table = _get_table(args, args.n_max)
     values = series.correlation_double_sum_sweep(
         table, args.n_max, fast=not args.naive, exact=args.exact
@@ -197,9 +192,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_tails(args: argparse.Namespace) -> int:
-    cutoffs = _cutoffs(args.cutoffs)
-    if not (math.isfinite(args.c) and args.c > 0):
-        raise ConfigError(f"--c must be a positive finite number, got {args.c}")
+    rule = "--cutoffs needs one or more integers >= 1"
+    cutoffs = _int_list(args.cutoffs, lambda N: N >= 1, rule)
+    tails._check_c(args.c)
     _preflight(args, max(cutoffs))
     table = _get_table(args, args.limit)
     rows = tails.classical_bound_report(table, cutoffs, args.c)
@@ -209,7 +204,9 @@ def cmd_tails(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    only = _criterion_numbers(args.only) if args.only else None
+    known = [number for number, _, _ in acceptance.CRITERIA]
+    rule = f"--only needs criterion numbers in {min(known)}..{max(known)}"
+    only = _int_list(args.only, lambda k: k in known, rule) if args.only else None
     table = _get_table(args, acceptance.REQUIRED_LIMIT)
     results = acceptance.run_criteria(table, only)
     lines = []
@@ -300,49 +297,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _criterion_numbers(text: str) -> List[int]:
-    known = [number for number, _, _ in acceptance.CRITERIA]
-    try:
-        numbers = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        numbers = []
-    if not numbers or not set(numbers) <= set(known):
-        raise ConfigError(
-            f"--only needs criterion numbers in {min(known)}..{max(known)}, got {text!r}"
-        )
-    return numbers
-
-
-def _cutoffs(text: str) -> List[int]:
-    try:
-        cutoffs = sorted({int(v) for v in text.split(",") if v.strip()})
-    except ValueError:
-        cutoffs = []
-    if not cutoffs or cutoffs[0] < 1:
-        raise ConfigError(f"--cutoffs needs one or more integers >= 1, got {text!r}")
-    return cutoffs
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     args.cache = args.cache or os.environ.get(CACHE_ENV_VAR) or None
     try:
-        if not 1 <= args.limit <= arithmetic.MAX_LIMIT:
-            raise ConfigError(
-                f"sieve_limit must be in 1..{arithmetic.MAX_LIMIT}, got {args.limit}"
-            )
-        _require_positive("--digits", args.digits)
+        arithmetic._check_limit(args.limit)
+        _check_digits(args.digits)
         return args.run(args)
-    except (AssertionError, ValueError) as exc:
-        print(f"fraclab: internal error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"fraclab: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         target = getattr(exc, "filename", None) or args.out or ""
         print(f"fraclab: i/o error on {target}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"fraclab: internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

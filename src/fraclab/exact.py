@@ -95,7 +95,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .arithmetic import _is_integer_type
+from .arithmetic import InputError, _is_integer_type
 
 #: input policy: the largest n + m a request may have.  The engine's
 #: dtype follows from each chunk's T, so this bounds no int64 work.
@@ -177,7 +177,7 @@ def _sweep_totals(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _lattices(n: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L, p, q) = (lcm(n, m), L/n, L/m), int64 as L <= 2.5 10^11, for arrays n, m
-    of positive integers with n + m <= PAIR_SIZE_LIMIT; a ValueError names the first bad pair."""
+    of positive integers with n + m <= PAIR_SIZE_LIMIT; an InputError names the first bad pair."""
     positive = _integers(n) & _integers(m)
     positive[positive] = np.minimum(n[positive], m[positive]) >= 1
     ok = positive.copy()
@@ -185,10 +185,11 @@ def _lattices(n: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     ok[ok] = n[ok] + m[ok] <= PAIR_SIZE_LIMIT  # cannot wrap, both are below the limit
     if not ok.all():
         i = ok.argmin()
-        if not positive[i]:
-            raise ValueError(f"n and m must be positive integers, got ({n[i]}, {m[i]})")
-        size = int(n[i]) + int(m[i])  # a sum of numpy scalars could wrap
-        raise ValueError(f"n + m = {size} exceeds the pair size limit {PAIR_SIZE_LIMIT}")
+        raise InputError(
+            f"n + m = {int(n[i]) + int(m[i])} exceeds the pair size limit {PAIR_SIZE_LIMIT}"
+            if positive[i]  # int(): a sum of numpy scalars could wrap
+            else f"n and m must be positive integers, got ({n[i]}, {m[i]})"
+        )
     n, m = n.astype(np.int64), m.astype(np.int64)
     g = np.gcd(n, m)
     return n * (m // g), m // g, n // g
@@ -220,9 +221,8 @@ def expected_correlations(triples: Iterable[Tuple[int, int, int]]) -> List[Fract
     if not ok.all():
         i = ok.argmin()
         _lattices(n[:i], m[:i])  # the first failing triple raises
-        if not _is_integer_type(type(X[i])):
-            raise ValueError(f"X must be a positive integer, got {X[i]!r}")
-        raise ValueError(f"X must be >= 1, got {X[i]}")
+        raise InputError(f"X must be >= 1, got {X[i]}" if _is_integer_type(type(X[i]))
+                         else f"X must be a positive integer, got {X[i]!r}")
     L, p, q = _lattices(n, m)
     X = np.fromiter(map(int, X), dtype=object, count=X.size)  # an int64 X would wrap in X L
     totals = _sweep_totals(np.concatenate((L, X * L)), np.tile(p, 2), np.tile(q, 2))

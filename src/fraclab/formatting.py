@@ -10,6 +10,17 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 
+from .arithmetic import InputError
+
+#: most digits of a decimal column: no float64 has more than 767 significant
+#: decimal digits, and every Fraction column has an exact num/den companion
+MAX_DIGITS = 1000
+
+
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise InputError(f"digits must be in 1..{MAX_DIGITS}, got {digits}")
+
 
 def format_decimal(value, digits: int = 15) -> str:
     """Render a number at ``digits`` significant figures, ties to even.
@@ -18,8 +29,7 @@ def format_decimal(value, digits: int = 15) -> str:
     precision; floats go through the platform's correctly rounded
     shortest-digits conversion via ``%g``.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+    _check_digits(digits)
     if isinstance(value, Fraction):
         with decimal.localcontext() as ctx:
             ctx.prec = digits

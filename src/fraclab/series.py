@@ -66,7 +66,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _range_sums, _smallest_factors, mertens
+from .arithmetic import InputError, MoebiusTable, _range_sums, _smallest_factors, mertens
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -85,6 +85,17 @@ _TWO_PI = 2.0 * math.pi
 
 #: S(N): a Fraction in exact mode, a float otherwise
 Value = Union[float, Fraction]
+
+
+def _check_x(x: float, N: int) -> None:
+    """InputError unless x * N is finite, which for N >= 1 makes x finite too."""
+    if not math.isfinite(x * N):
+        raise InputError(f"x must be finite with x * N finite up to N={N}, got x={x}")
+
+
+def _check_direct_exact(n_max: int) -> None:
+    if n_max > DIRECT_EXACT_LIMIT:
+        raise InputError(f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}")
 
 
 def _sine_terms(table: MoebiusTable, x: float, a: int, b: int) -> np.ndarray:
@@ -107,8 +118,7 @@ def sine_series_partials(table: MoebiusTable, Ns: Sequence[int], x: float) -> Li
     Ns = table._check_increasing(Ns, "N values")
     if not Ns:
         return []
-    if not math.isfinite(x * Ns[-1]):
-        raise ValueError(f"x must be finite with x * N finite up to N={Ns[-1]}, got x={x}")
+    _check_x(x, Ns[-1])
     sums = _range_sums(partial(_sine_terms, table, x), 1, [N + 1 for N in Ns])
     # 0.0 - pi*s is -pi*s for every nonzero s, and +0.0 (not -0.0) for s = 0
     return [0.0 - math.pi * s for s in sums]
@@ -145,8 +155,8 @@ def _direct_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     one Fraction.  Float mode uses the closed-form law per pair, and its
     prefix sums of the rows come from one pass of ``_range_sums``.
     """
-    if exact and n_max > DIRECT_EXACT_LIMIT:
-        raise ValueError(f"exact direct sweep capped at N={DIRECT_EXACT_LIMIT}, got {n_max}")
+    if exact:
+        _check_direct_exact(n_max)
     sf = _squarefree_upto(table, n_max)
     ranked = list(enumerate(zip(sf.tolist(), table.mu[sf].tolist())))  # k, (n, mu(n))
     if not exact:
@@ -258,9 +268,7 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
     """
     table._check_index(N)
     if N > SQUARED_IDENTITY_LIMIT:
-        raise ValueError(
-            f"squared identity check capped at N={SQUARED_IDENTITY_LIMIT}, got {N}"
-        )
+        raise InputError(f"squared identity check capped at N={SQUARED_IDENTITY_LIMIT}, got {N}")
     a = _sine_terms(table, x, 1, N + 1)
     s1 = math.fsum(a.tolist())
     sin2 = math.sin(_TWO_PI * x)

@@ -59,7 +59,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import MoebiusTable, _check_integer, _range_sums, _sorted_distinct
+from .arithmetic import InputError, MoebiusTable, _check_integer, _range_sums, _sorted_distinct
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -73,9 +73,7 @@ def _check_range(table: MoebiusTable, N: int, U: int) -> None:
     _check_integer(N)
     _check_integer(U)
     if not 1 <= N < U <= table.limit:
-        raise ValueError(
-            f"need 1 <= N < U <= {table.limit}, got N={N}, U={U}"
-        )
+        raise InputError(f"need 1 <= N < U <= {table.limit}, got N={N}, U={U}")
 
 
 class _MertensRun:
@@ -139,9 +137,9 @@ def tail_integral_u1(table: MoebiusTable, N: int, U: int) -> float:
 def _coerce_x(x) -> Fraction:
     xf = Fraction(x)
     if xf <= 0:
-        raise ValueError(f"x must be positive, got {xf}")
+        raise InputError(f"x must be positive, got {xf}")
     if xf.denominator > MAX_X_DENOMINATOR:
-        raise ValueError(
+        raise InputError(
             f"x denominator {xf.denominator} exceeds {MAX_X_DENOMINATOR}; "
             "breakpoints would blow up"
         )
@@ -151,11 +149,11 @@ def _coerce_x(x) -> Fraction:
 def _jumps(N: int, U: int, p: int, q: int) -> np.ndarray:
     """The k whose jump point u = k/x, x = p/q, lies in (N, U].
 
-    Raises ValueError when floor(U x) exceeds MAX_FLOOR_UX.
+    Raises InputError when floor(U x) exceeds MAX_FLOOR_UX.
     """
     k1 = U * p // q  # floor(U x)
     if k1 > MAX_FLOOR_UX:
-        raise ValueError(
+        raise InputError(
             f"x={p}/{q} gives floor(U x) = {k1} at U={U}, past the limit "
             f"MAX_FLOOR_UX = {MAX_FLOOR_UX} of the 1e-9 check"
         )
@@ -228,6 +226,11 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     return abs(lhs - rhs)
 
 
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise InputError(f"c must be positive and finite, got {c}")
+
+
 def _bound_fit(m: int, N: int, c: float) -> float:
     """|m| e^{c sqrt(log N)} / N: exactly 0 when m = 0 (not 0 * inf =
     nan), inf when the exponential passes the float range."""
@@ -248,12 +251,11 @@ def classical_bound_report(
 
     The fit column is diagnostic only; no bound is asserted on it.  The
     exponent constant c is not pinned by theory at desk scale, so it is
-    a parameter with default 1.  The cutoffs must strictly increase
-    within 1..limit (IndexError when out of range, ValueError when out of
-    order); they are validated once, before anything is summed.
+    a parameter with default 1.  The cutoffs must strictly increase within
+    1..limit.  They and c are validated once, before anything is summed: a
+    cutoff outside 1..limit raises IndexError, any other fault InputError.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_c(c)
     cuts = table._check_increasing(cutoffs, "cutoffs")
     # a cutoff at the limit gets the empty tail 0.0; the zip below drops
     # the tail from the limit bound itself

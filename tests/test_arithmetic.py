@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import fraclab
-from fraclab import arithmetic
+from fraclab import InputError, arithmetic
 
 
 def mobius_bruteforce(n):
@@ -158,9 +158,9 @@ def test_first_six_values():
 
 
 def test_build_rejects_bad_limits():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"sieve_limit must be in 1\.\.100000000, got 0"):
         fraclab.build_tables(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="got 100000001"):
         fraclab.build_tables(arithmetic.MAX_LIMIT + 1)
 
 
@@ -190,7 +190,7 @@ def test_mertens_examples(table4):
 )
 def test_table_readers_refuse_non_integer_index(table4, call):
     # a float is not cut to an int and a bool is not read as 0 or 1
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(InputError, match="must be an integer"):
         call(table4)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: CSV schemas, determinism, exit codes."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclab
-from fraclab import arithmetic, cli, exact, series
+from fraclab import arithmetic, cli, exact, formatting, series
 from fraclab.formatting import format_decimal
 
 
@@ -247,9 +248,6 @@ def test_tails_bad_cutoffs_rejected(capsys, cutoffs):
         (["figure2", "--n-max", "0"], "--n-max"),
         (["sine-series", "--x", "0.25", "--n-max", "0"], "--n-max"),
         (["sine-series", "--x", "0.25", "--n-max", "100", "--points", "0"], "--points"),
-        (["correlate", "--n", "0", "--m", "6"], "--n"),
-        (["correlate", "--n", "5", "--m", "-6"], "--m"),
-        (["correlate", "--n", "5", "--m", "6", "--x-range", "0"], "--x-range"),
     ],
 )
 def test_nonpositive_sizes_rejected(capsys, args, flag):
@@ -262,21 +260,32 @@ def test_nonpositive_sizes_rejected(capsys, args, flag):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["sine-series", "--x", "nan"], "--x must be a finite number, got nan"),
-        (["sine-series", "--x", "inf"], "--x must be a finite number, got inf"),
-        (["sine-series", "--x=-inf"], "--x must be a finite number, got -inf"),
-        (["tails", "--c", "nan"], "--c must be a positive finite number, got nan"),
-        (["tails", "--c", "inf"], "--c must be a positive finite number, got inf"),
-        (["tails", "--c", "0"], "--c must be a positive finite number, got 0.0"),
-        (["tails", "--c", "-1"], "--c must be a positive finite number, got -1.0"),
-        (["sine-series", "--x", "1e308"], "--x is too large: 2 pi x overflows, got 1e+308"),
-        (["sine-series", "--x=-3e307"], "--x is too large: 2 pi x overflows, got -3e+307"),
+        # x * N finite, the library's rule, also refuses a non-finite x
+        (["sine-series", "--x", "nan", "--n-max", "10"],
+         "x must be finite with x * N finite up to N=10, got x=nan"),
+        (["sine-series", "--x", "inf", "--n-max", "10"],
+         "x must be finite with x * N finite up to N=10, got x=inf"),
+        (["sine-series", "--x=-inf", "--n-max", "10"],
+         "x must be finite with x * N finite up to N=10, got x=-inf"),
+        (["tails", "--c", "nan"], "c must be positive and finite, got nan"),
+        (["tails", "--c", "inf"], "c must be positive and finite, got inf"),
+        (["tails", "--c", "0"], "c must be positive and finite, got 0.0"),
+        (["tails", "--c", "-1"], "c must be positive and finite, got -1.0"),
+        # at N = 1 x * N is x itself, and only 2 pi x overflows
+        (["sine-series", "--x", "1e308", "--n-max", "1"],
+         "--x is too large: 2 pi x overflows, got 1e+308"),
+        (["sine-series", "--x=-3e307", "--n-max", "1"],
+         "--x is too large: 2 pi x overflows, got -3e+307"),
         (["sine-series", "--x", "2e307", "--n-max", "10"],
          "x must be finite with x * N finite up to N=10, got x=2e+307"),
         (["sine-series", "--x", "0.3", "--n-max", "10", "--points", "1000001"],
          "--points must be <= 1000000, got 1000001"),
         (["sine-series", "--x", "0.3", "--n-max", "10", "--points", "100000000000"],
          "--points must be <= 1000000, got 100000000000"),
+        # x * N runs after the sieve-limit check, so a huge --n-max cannot overflow it
+        (["sine-series", "--x", "1e308", "--n-max", "10"],
+         "x must be finite with x * N finite up to N=10, got x=1e+308"),
+        (["sine-series", "--x", "nan"], "sieve_limit 1000 is below the 100000 this command needs"),
     ],
 )
 def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
@@ -296,6 +305,15 @@ def test_bad_float_flags_rejected(monkeypatch, capsys, args, message):
          "n + m = 1000001 exceeds the pair size limit 1000000"),
         (["correlate", "--n", "999999", "--m", "2", "--method", "closed-form"],
          "n + m = 1000001 exceeds the pair size limit 1000000"),
+        # the library's pair rule, before any engine work, by either method
+        (["correlate", "--n", "0", "--m", "6"], "n and m must be positive integers, got (0, 6)"),
+        (["correlate", "--n", "5", "--m", "-6"], "n and m must be positive integers, got (5, -6)"),
+        (["correlate", "--n", "0", "--m", "6", "--method", "closed-form"],
+         "n and m must be positive integers, got (0, 6)"),
+        # X stays the CLI's check, as closed-form never sees it; it comes first
+        (["correlate", "--n", "5", "--m", "6", "--x-range", "0"], "--x-range must be >= 1, got 0"),
+        (["correlate", "--n", "0", "--m", "6", "--x-range", "0", "--method", "closed-form"],
+         "--x-range must be >= 1, got 0"),
     ],
 )
 def test_size_caps_rejected_before_work(monkeypatch, capsys, args, message):
@@ -315,13 +333,28 @@ def test_size_caps_rejected_before_work(monkeypatch, capsys, args, message):
         ["verify", "--only", "5"],
     ],
 )
-@pytest.mark.parametrize("digits", ["0", "-3"])
+@pytest.mark.parametrize("digits", ["0", "-3", "1001", "2147483648", "1000000000000000000"])
 def test_bad_digits_rejected_before_sieving(monkeypatch, capsys, args, digits):
     monkeypatch.setattr(cli, "build_tables", None)  # no sieve before the check
     rc, out, err = run_cli(args + ["--digits", digits], capsys)
     assert rc == 2
     assert out == ""
-    assert err == f"fraclab: error: --digits must be >= 1, got {digits}\n"
+    assert err == f"fraclab: error: digits must be in 1..1000, got {digits}\n"
+
+
+@pytest.mark.parametrize(
+    "args, row",
+    [
+        (["correlate", "--n", "5", "--m", "6"], "5,6,1,0.2527777777777777777777"),
+        # a float prints in full, -pi/4 as its double's exact decimal value
+        (["sine-series", "--x", "0.25", "--n-max", "1", "--limit", "1"],
+         "1,0.25,-0.78539816339744827899949086713604629039764404296875,1,"),
+    ],
+)
+def test_max_digits_accepted(capsys, args, row):
+    rc, out, err = run_cli(args + ["--digits", str(formatting.MAX_DIGITS)], capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1].startswith(row)
 
 
 @pytest.mark.parametrize("x", ["0", "2"])
@@ -393,8 +426,10 @@ def test_invalid_limit_rejected(monkeypatch, capsys, args, limit):
     )
 
 
-def _value_error(T, total):
-    raise ValueError("engine fault")
+def _raising(kind):
+    def fault(T, total):
+        raise kind("engine fault")
+    return fault
 
 
 @pytest.mark.parametrize(
@@ -405,10 +440,12 @@ def _value_error(T, total):
         ("200000", lambda T, total: total + (T > 30), "period-1 identity violated"),
         # both totals zero: the identity holds and the range check fails
         ("200000", lambda T, total: 0, "outside the provable"),
-        # a ValueError from inside the library is a bug, not bad input
-        ("100", _value_error, "engine fault"),
+        # any exception from inside the library but an InputError is a bug, not bad input
+        ("100", _raising(ValueError), "engine fault"),
+        ("100", _raising(IndexError), "engine fault"),
+        ("100", _raising(OverflowError), "engine fault"),
     ],
-    ids=["period-1", "period-1-large-x", "range", "value-error"],
+    ids=["period-1", "period-1-large-x", "range", "value-error", "index-error", "overflow-error"],
 )
 def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, message):
     real = exact._sweep_totals
@@ -425,6 +462,52 @@ def test_engine_fault_is_internal_error(monkeypatch, capsys, x_range, wrong, mes
     assert out == ""
     assert err.startswith("fraclab: internal error: ")
     assert message in err
+
+
+#: every function that raises InputError, which main turns into exit 2: the
+#: library's entry checks and the CLI's own flag checks.  An InputError
+#: raised anywhere else could report an internal fault as bad input, so a
+#: new raise site must be added here on purpose.
+INPUT_ERROR_SITES = {
+    "arithmetic.MoebiusTable._check_increasing",
+    "arithmetic._check_integer",
+    "arithmetic._check_limit",
+    "cli._int_list",
+    "cli._preflight",
+    "cli._require_positive",
+    "cli.cmd_sine_series",
+    "exact._lattices",
+    "exact.expected_correlations",
+    "formatting._check_digits",
+    "series._check_direct_exact",
+    "series._check_x",
+    "series.sine_squared_identity_gap",
+    "tails._check_c",
+    "tails._check_range",
+    "tails._coerce_x",
+    "tails._jumps",
+}
+
+
+def _input_error_sites(node, name):
+    """The dotted name of the innermost function, class or module around
+    each ``raise InputError`` in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _input_error_sites(child, f"{name}.{child.name}")
+        elif isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "InputError":
+                yield name
+        else:
+            yield from _input_error_sites(child, name)
+
+
+def test_input_error_raised_only_by_entry_checks():
+    sites = set()
+    for path in sorted(Path(fraclab.__file__).parent.glob("*.py")):
+        sites.update(_input_error_sites(ast.parse(path.read_text()), path.stem))
+    assert sites == INPUT_ERROR_SITES
 
 
 def test_bookkeeping_mismatch_is_internal_error(monkeypatch, capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab
-from fraclab import exact
+from fraclab import InputError, exact
 from fraclab.acceptance import correlation_quadrature
 
 
@@ -45,18 +45,18 @@ def test_expected_correlation_x_independent():
 
 
 def test_expected_correlation_rejects_bad_x():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="X must be >= 1, got 0"):
         fraclab.expected_correlation(1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="X must be a positive integer, got 2.5"):
         fraclab.expected_correlation(1, 2, 2.5)
 
 
 def test_domain_and_size_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"positive integers, got \(0, 3\)"):
         fraclab.exact_correlation(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"positive integers, got \(3, 0\)"):
         fraclab.exact_correlation(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="n \\+ m = 1100000 exceeds the pair size limit"):
         fraclab.exact_correlation(600_000, 500_000)
     # non-integers and bools are refused, not truncated; numpy integers pass
     for call in (
@@ -66,7 +66,7 @@ def test_domain_and_size_guards():
         lambda: fraclab.expected_correlation(True, 3, 1),
         lambda: fraclab.correlation_closed_form(2.5, 3),
     ):
-        with pytest.raises(ValueError, match="n and m must be positive integers"):
+        with pytest.raises(InputError, match="n and m must be positive integers"):
             call()
     assert fraclab.exact_correlation(np.int64(5), np.int32(6)) == Fraction(91, 360)
 
@@ -245,12 +245,12 @@ def test_batch_longer_than_a_chunk(monkeypatch):
     for bad, message in [((0, 7), r"positive integers, got \(0, 7\)"),
                          ((600000, 500000), r"n \+ m = 1100000 exceeds the pair size limit")]:
         pairs[10] = bad
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InputError, match=message):
             exact._correlation_terms(*np.array(pairs).T)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InputError, match=message):
             fraclab.expected_correlations([(n, m, 1) for n, m in pairs])
     pairs[5] = (0, 7)   # two bad pairs: the first is named
-    with pytest.raises(ValueError, match=r"positive integers, got \(0, 7\)"):
+    with pytest.raises(InputError, match=r"positive integers, got \(0, 7\)"):
         exact._correlation_terms(*np.array(pairs).T)
 
 
@@ -304,7 +304,7 @@ def mixed_batches(draw):
 
 
 def _raised(call, *args):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InputError) as info:
         call(*args)
     return str(info.value)
 

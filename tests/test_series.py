@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import fraclab
-from fraclab import arithmetic, cli, series
+from fraclab import InputError, arithmetic, cli, series
 from fraclab.series import DIRECT_EXACT_LIMIT, DOUBLE_SUM_LIMIT
 
 
@@ -83,15 +83,15 @@ def test_sine_series_partials_match_per_point_fsum(table6, x):
 def test_sine_series_partials_validation(table4):
     assert fraclab.sine_series_partials(table4, [], 0.3) == []
     for Ns in ([5, 5], [7, 3]):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(InputError, match="strictly increasing"):
             fraclab.sine_series_partials(table4, Ns, 0.3)
     for Ns in ([0, 5], [5, table4.limit + 1]):
         with pytest.raises(IndexError):
             fraclab.sine_series_partials(table4, Ns, 0.3)
     for x in (math.nan, math.inf, -math.inf, 1e305):  # 1e305 * 10^4 overflows
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             fraclab.sine_series_partials(table4, [10, table4.limit], x)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             fraclab.sine_series_partial(table4, table4.limit, x)
 
 
@@ -211,9 +211,9 @@ def test_exact_direct_guard(table4, monkeypatch):
         pytest.fail("the exact engine ran before the guard")
 
     monkeypatch.setattr(series, "_correlation_terms", no_engine)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="exact direct sweep capped at N=300, got 301"):
         fraclab.correlation_double_sum(table4, DIRECT_EXACT_LIMIT + 1, exact=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="capped"):
         fraclab.correlation_double_sum_sweep(
             table4, DIRECT_EXACT_LIMIT + 1, fast=False, exact=True
         )
@@ -246,7 +246,7 @@ def test_squared_identity_gap(table6):
     assert fraclab.sine_squared_identity_gap(table6, 50, 0.0) == 0.0
     assert fraclab.sine_squared_identity_gap(table6, 50, 0.3) < 1e-10
     assert fraclab.sine_squared_identity_gap(table6, 500, 0.7) < 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="capped at N=500, got 501"):
         fraclab.sine_squared_identity_gap(table6, 501, 0.3)
 
 
@@ -268,5 +268,5 @@ def test_residual_moment_guard_comes_first(table4, monkeypatch):
         pytest.fail("the jump loop ran before the exact direct guard")
 
     monkeypatch.setattr(series, "mertens", no_mertens)
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(InputError, match="capped"):
         fraclab.residual_moment_report(table4, DIRECT_EXACT_LIMIT + 1)

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraclab
-from fraclab import acceptance, arithmetic, cli, tails
+from fraclab import InputError, acceptance, arithmetic, cli, tails
 
 
 # -- oracles: the per-cutoff fsum over a term list, as it was before the
@@ -310,11 +310,11 @@ def test_u1_single_steps(table4):
 
 def test_range_validation(table4):
     for fn in (fraclab.tail_integral_u2, fraclab.tail_integral_u1):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             fn(table4, 5, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             fn(table4, 10, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             fn(table4, 1, table4.limit + 1)
 
 
@@ -387,13 +387,13 @@ def test_abel_tie_break_at_coincident_jumps(table4):
 
 
 def test_abel_rejects_bad_x(table4):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="x must be positive"):
         fraclab.abel_identity_check(table4, 1, 10, Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="x must be positive"):
         fraclab.abel_identity_check(table4, 1, 10, Fraction(-1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="denominator 1001 exceeds 1000"):
         fraclab.abel_identity_check(table4, 1, 10, Fraction(1, 1001))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="denominator"):
         # floats carry huge power-of-two denominators; they must not
         # sneak through as "rational" x
         fraclab.abel_identity_check(table4, 1, 10, 0.3)
@@ -408,7 +408,7 @@ def test_abel_large_numerator_does_not_wrap(table6):
     # floor(ux) * p near 5e14, exact in float64
     assert fraclab.abel_identity_check(table6, 1, 2, Fraction(5 * 10**8 - 1, 1000)) < 1e-9
     # floor(ux) * p reached 1e19 here, past int64; now past the guard too
-    with pytest.raises(ValueError, match="MAX_FLOOR_UX"):
+    with pytest.raises(InputError, match="MAX_FLOOR_UX"):
         fraclab.abel_identity_check(table6, 999990, 999991, Fraction(10**8 + 1, 1000))
 
 
@@ -432,7 +432,7 @@ def test_abel_guard_is_floor_ux(monkeypatch, table4, N, U, x, ok):
             pytest.fail("the Abel sums ran before the MAX_FLOOR_UX guard")
 
         monkeypatch.setattr(tails, "_MertensRun", no_mertens)
-        with pytest.raises(ValueError, match="past the limit MAX_FLOOR_UX = 1000000"):
+        with pytest.raises(InputError, match="past the limit MAX_FLOOR_UX = 1000000"):
             fraclab.abel_identity_check(table4, N, U, x)
 
 
@@ -486,9 +486,9 @@ def test_classical_bound_report(table6):
 
 
 def test_report_validation(table4):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="cutoffs must be strictly increasing"):
         fraclab.classical_bound_report(table4, [100, 100])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="c must be positive and finite, got 0.0"):
         fraclab.classical_bound_report(table4, [100, 200], c=0.0)
     with pytest.raises(IndexError):
         fraclab.classical_bound_report(table4, [table4.limit + 1])
