@@ -29,21 +29,26 @@ A table is frozen and its arrays are read-only, so it is safe to share
 across threads; every function here is a pure read of the arrays.
 
 The partial sums P(N) = sum mu(n)/n (``moebius_harmonic``) and
-sum mu(n)^2/n^2 (``squarefree_zeta2_partial``) are floats: ``math.fsum``
-of the float64 terms, correctly rounded.  Their exact values are needed
-only inside the exact gcd-grouped double-sum sweep
+sum mu(n)^2/n^2 (``squarefree_zeta2_partial``) are floats: the correctly
+rounded sum of the float64 terms (``_fsum``).  Their exact values are
+needed only inside the exact gcd-grouped double-sum sweep
 (``series.correlation_double_sum_sweep``), which accumulates them itself
 as integers at a scale where every term is exact.
 
 ``_range_sums`` sums a term sequence exactly over many prefixes in one
 pass, as integers scaled by 2^1074, and rounds each prefix or tail (the
 whole sum less a prefix) once: bit for bit what ``math.fsum`` over the
-range's own terms gives.  The tail sums of ``tails`` and criterion 12,
-the sine series and the float direct double-sum sweep use it.
+range's own terms gives.  It builds the terms ``_FSUM_CHUNK`` at a time,
+and one call of ``_exact_prefixes`` per chunk and row gives the exact
+prefix at every bound in the chunk: a few whole-array operations per
+error-free slice of the terms (Rump, Ogita & Oishi, 2008), whatever the
+number of bounds.  Every float sum in ``tails``, criterion 12, the sine
+series, the float direct double-sum sweep and ``_fsum`` goes through it.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -94,13 +99,14 @@ def _is_integer_type(kind: type) -> bool:
     return issubclass(kind, Integral) and not issubclass(kind, bool)
 
 
-def _check_integer(n: int) -> None:
+def _check_integer(n: int, what: str = "index") -> None:
     """InputError unless ``n`` is of an integer type (``_is_integer_type``)."""
     if not _is_integer_type(type(n)):
-        raise InputError(f"index must be an integer, got {n!r}")
+        raise InputError(f"{what} must be an integer, got {n!r}")
 
 
 def _check_limit(limit: int) -> None:
+    _check_integer(limit, "sieve_limit")
     if not 1 <= limit <= MAX_LIMIT:
         raise InputError(f"sieve_limit must be in 1..{MAX_LIMIT}, got {limit}")
 
@@ -221,21 +227,17 @@ def squarefree_count(table: MoebiusTable, N: int) -> int:
 
 
 def moebius_harmonic(table: MoebiusTable, N: int) -> float:
-    """P(N) = sum_{n <= N} mu(n)/n, the correctly rounded ``math.fsum``
-    of its float64 terms."""
+    """P(N) = sum_{n <= N} mu(n)/n, the correctly rounded sum of its
+    float64 terms (``_fsum``)."""
     table._check_index(N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = table.mu[1 : N + 1].astype(np.float64) / n
-    return math.fsum(terms.tolist())
+    return _fsum(table.mu[1 : N + 1] / np.arange(1, N + 1, dtype=np.float64))
 
 
 def squarefree_zeta2_partial(table: MoebiusTable, N: int) -> float:
     """sum_{n <= N} mu(n)^2 / n^2, tending to 15/pi^2; the correctly
-    rounded ``math.fsum`` of its float64 terms."""
+    rounded sum of its float64 terms (``_fsum``)."""
     table._check_index(N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = (table.mu[1 : N + 1] != 0) / (n * n)
-    return math.fsum(terms.tolist())
+    return _fsum((table.mu[1 : N + 1] != 0) / np.arange(1, N + 1, dtype=np.float64) ** 2)
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -246,42 +248,50 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-#: terms built per pass of ``_range_sums``; at most 2^26, the bin size
-#: ``_exact_total`` sums exactly.  At 2^16 each pass faulted in fresh pages
-#: unless a large free had raised malloc's mmap threshold; 2^14 does not
+#: terms built per pass of ``_range_sums``: 2^14 slices of at most 2^39
+#: units sum exactly, below 2^53 units.  At 2^16 each pass faulted in fresh
+#: pages unless a large free had raised malloc's mmap threshold; 2^14 does not
 _FSUM_CHUNK = 1 << 14
-
-#: the low mantissa bits that ``_exact_total`` splits off each term
-_LOW_BITS = (1 << 26) - 1
 
 #: 2^1074 times any finite float64 is an integer
 _SUM_SCALE = 1 << 1074
 
 
-def _exact_total(terms: np.ndarray) -> int:
-    """The exact sum of the finite float64 ``terms``, times 2^1074.
+def _exact_prefixes(terms: np.ndarray, at: Sequence[int]) -> list[int]:
+    """The exact sums of ``terms[:p]`` for each p of the nondecreasing
+    ``at``, the last p being ``terms.size``, times 2^1074.
 
-    Each term t, of exponent field e, splits into hi (t with its low 26
-    mantissa bits cleared) and lo = t - hi, both exact.  In one exponent
-    bin the hi parts are multiples of 2^(E-26) below 2^(E+1) and the lo
-    parts multiples of 2^(E-52) below 2^(E-26), so a bin of up to 2^26
-    terms sums both exactly in float64, in any order; ``np.bincount``
-    does, per exponent.  Each nonzero bin total num/den, den a power of
-    two, adds num << (1075 - den.bit_length()).
+    Error-free slices are taken from the largest term down (Rump, Ogita &
+    Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31(1), 2008).  With the largest |t| left below 2^e and the
+    unit u = 2^(e-39), never below 2^-1074, hi = (t + sigma) - sigma with
+    sigma = 1.5 * 2^52 u is t rounded to a multiple of u, at most 2^39
+    units, and t - hi is exact.  Up to ``_FSUM_CHUNK`` slices sum below
+    2^53 units, exactly in any order: ``np.sum`` when every p is the end,
+    ``np.cumsum`` read at each p otherwise.  The slices go on over
+    the remainders t - hi until those are all zero.  With a term of 2^1000
+    or more, sigma or a sum of 2^14 slices could overflow: then the terms
+    times 2^-32 are summed, and apart from them the bits below 2^-1042
+    that the scaling lost.
     """
-    bits = terms.view(np.int64)
-    exponent = (bits >> 52) & 0x7FF
-    if terms.size and exponent.max() == 0x7FF:
+    top = float(max(terms.max(), -terms.min()))
+    if not math.isfinite(top):
         raise AssertionError("a term to be summed is not finite")
-    hi = (bits & ~_LOW_BITS).view(np.float64)
-    totals = np.concatenate(
-        (np.bincount(exponent, hi, 0x800), np.bincount(exponent, terms - hi, 0x800))
-    )
-    total = 0
-    for t in totals[totals != 0.0].tolist():
-        num, den = t.as_integer_ratio()
-        total += num << (1075 - den.bit_length())
-    return total
+    if top >= 2.0**1000:
+        scaled = terms * 2.0**-32
+        lost = _exact_prefixes(terms - scaled * 2.0**32, at)
+        return [(a << 32) + b for a, b in zip(_exact_prefixes(scaled, at), lost)]
+    ends = None if at[0] == terms.size else np.asarray(at) - 1
+    sums = [0] * len(at)
+    while top:
+        unit = max(math.frexp(top)[1] - 39, -1074)
+        sigma = math.ldexp(1.5, unit + 52)
+        hi = (terms + sigma) - sigma
+        terms = terms - hi
+        units = [float(hi.sum())] * len(at) if ends is None else np.cumsum(hi)[ends].tolist()
+        sums = [s + (int(math.ldexp(k, -unit)) << (unit + 1074)) for s, k in zip(sums, units)]
+        top = float(max(terms.max(), -terms.min()))
+    return sums
 
 
 def _range_sums(
@@ -299,32 +309,35 @@ def _range_sums(
     called once per pass of ``_FSUM_CHUNK`` indices, in order, up to the
     last bound, so every term is built once.  With ``rows``, it returns a
     (rows, b - a) block of that many term sequences instead, and the
-    result is one list of sums per row.  Each pass is cut at the bounds
-    it spans and every piece reduced to one exact integer
-    (``_exact_total``).  Each prefix, or the whole sum less a prefix, is
-    rounded once by Python's int / int division, which rounds correctly:
-    bit for bit what ``math.fsum`` over the range's own terms gives.
+    result is one list of sums per row.  One ``_exact_prefixes`` call per
+    pass and row gives the exact prefix at every bound the pass reaches.
+    Each prefix, or the whole sum less a prefix, is rounded once by
+    Python's int / int division, which rounds correctly: bit for bit what
+    ``math.fsum`` over the range's own terms gives.
     """
     cuts = [start, *bounds]
     if any(b < a for a, b in zip(cuts, cuts[1:])):
         raise AssertionError(f"bounds must not decrease from {start}, got {cuts[1:]}")
     width = 1 if rows is None else rows
+    done = bisect.bisect_right(cuts, start)  # cuts[1:done] end empty ranges
+    sums = [[0] * (done - 1) for _ in range(width)]
     totals = [0] * width
-    sums: list[list[int]] = [[] for _ in range(width)]
-    s = e = start  # the pass [s, e) whose terms are in ``block``
-    for a, b in zip(cuts, cuts[1:]):
-        while a < b:
-            if a == e:
-                s, e = e, min(e + _FSUM_CHUNK, cuts[-1])
-                block = term(s, e).reshape(width, e - s)
-            c = min(b, e)
-            for r, row in enumerate(block):
-                totals[r] += _exact_total(row[a - s : c - s])
-            a = c
-        for row_sums, total in zip(sums, totals):
-            row_sums.append(total)
+    for s in range(start, cuts[-1], _FSUM_CHUNK):
+        e = min(s + _FSUM_CHUNK, cuts[-1])
+        upto = bisect.bisect_right(cuts, e, done)
+        at = [b - s for b in cuts[done:upto]] + [e - s]  # the bounds, then the pass's end
+        for r, row in enumerate(term(s, e).reshape(width, e - s)):
+            *cut, totals[r] = [totals[r] + p for p in _exact_prefixes(row, at)]
+            sums[r] += cut
+        done = upto
     read = [[((row[-1] - s) if tails else s) / _SUM_SCALE for s in row] for row in sums]
     return read[0] if rows is None else read
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of the float64 ``terms``: ``math.fsum``'s
+    value, by ``_range_sums``."""
+    return _range_sums(lambda a, b: terms[a:b], 0, [terms.size])[0]
 
 
 def save_cache(table: MoebiusTable, path) -> None:

@@ -46,14 +46,14 @@ N log N 2**-128, is far under half an ulp of S(N), so a row is the
 correctly rounded value of the exact S(N) unless S(N) lies that close
 to a rounding boundary (the tests check every N <= 2000).  The sine
 series is also correctly rounded in its float64 terms:
-``sine_series_partials`` builds them in chunks, sums the piece between
-grid points exactly as one integer and rounds each exact prefix once
+``sine_series_partials`` builds them in chunks, takes the exact prefix
+at every grid point in a chunk at once and rounds each one once
 (``arithmetic._range_sums``), which gives every grid point in one pass
 and the same bits as ``math.fsum`` over the term list.  The float
-direct sweep sums its rows the same way, one piece per square-free n,
-so each S(N) is the correctly rounded sum of the rows up to N.
-``sine_squared_identity_gap`` sums through ``math.fsum`` (also correctly
-rounded).
+direct sweep sums its rows the same way, with a bound at each
+square-free n, so each S(N) is the correctly rounded sum of the rows up
+to N.  ``sine_squared_identity_gap`` rounds its sums the same way
+(``arithmetic._fsum``).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .arithmetic import InputError, MoebiusTable, _range_sums, _smallest_factors, mertens
+from .arithmetic import InputError, MoebiusTable, _fsum, _range_sums, _smallest_factors, mertens
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -270,15 +270,14 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
     if N > SQUARED_IDENTITY_LIMIT:
         raise InputError(f"squared identity check capped at N={SQUARED_IDENTITY_LIMIT}, got {N}")
     a = _sine_terms(table, x, 1, N + 1)
-    s1 = math.fsum(a.tolist())
     sin2 = math.sin(_TWO_PI * x)
-    eps = -math.pi * s1 - sin2
+    eps = -math.pi * _fsum(a) - sin2
     lhs = sin2 * sin2 + (2.0 * sin2 * eps + eps * eps)
     pi2 = math.pi * math.pi
-    diagonal = pi2 * math.fsum((a * a).tolist())
+    diagonal = pi2 * _fsum(a * a)
     products = np.outer(a, a)
     np.fill_diagonal(products, 0.0)
-    off_diagonal = pi2 * math.fsum(np.sum(products, axis=1).tolist())
+    off_diagonal = pi2 * _fsum(np.sum(products, axis=1))
     return abs(lhs - (diagonal + off_diagonal))
 
 

@@ -46,8 +46,20 @@ M floor(ux) p (1/t1 - 1/t0) telescope, so the rounding of each 1/t (at
 most 2^-53/t) is weighted by p times the jump of M floor(ux) at t:
 about x 2^-53 at every step of M and at both ends, |M(u)| 2^-53/u at
 every {ux}-jump.  With |M(u)| <= u that is at most about
-4 floor(U x) 2^-53, below 1e-9 for floor(U x) <= MAX_FLOOR_UX = 10^6,
+4 floor(U x) 2^-53, 4.4e-10 for floor(U x) <= MAX_FLOOR_UX = 10^6,
 which also caps the jump points in (N, U] at 10^6.
+
+The log terms M x log1p((t1 - t0)/t0) do not telescope.  Each is within
+a few ulps of its value, about 6 2^-53 of it (one rounding of the
+argument, an ulp or so of np.log1p, the products), so together they
+are off by about
+
+    6 2^-53 x integral_N^U |M(u)|/u du  <  12 2^-53 x (sqrt(U) - 1),
+
+as |M(u)| < sqrt(u) far past any table (Kotnik & van de Lune,
+Experimental Math. 13, 2004).  Under floor(U x) <= 10^6 that is at most
+3.3e-10 (at U = 4), so with the terms above the check stays below
+1e-9; at the x <= 2, U <= 10^4 of criterion 8 it is under 3e-13.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import InputError, MoebiusTable, _check_integer, _range_sums, _sorted_distinct
+from .arithmetic import InputError, MoebiusTable, _check_integer, _sorted_distinct
+from .arithmetic import _fsum, _range_sums
 
 #: largest denominator accepted for the rational evaluation point
 MAX_X_DENOMINATOR = 1000
@@ -135,6 +148,8 @@ def tail_integral_u1(table: MoebiusTable, N: int, U: int) -> float:
 
 
 def _coerce_x(x) -> Fraction:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InputError(f"x must be finite, got {x}")
     xf = Fraction(x)
     if xf <= 0:
         raise InputError(f"x must be positive, got {xf}")
@@ -170,7 +185,7 @@ def _jump_sum(M: np.ndarray, N: int, k: np.ndarray, p: int, q: int) -> float:
     integer.
     """
     left = M[(k * q - 1) // p - N].astype(np.float64)
-    return math.fsum((left * (p / q) / k).tolist())
+    return _fsum(left * (p / q) / k)
 
 
 def _step_pieces(
@@ -204,11 +219,10 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     p, q = xf.numerator, xf.denominator
     k = _jumps(N, U, p, q)  # the MAX_FLOOR_UX guard, before any sum
 
-    # mu(n) {nx} / n term by term; mu r, q and n are exact in float64, so
-    # each division rounds as Python's int / int does
+    # mu(n) {nx} / n term by term, q {nx} = n p mod q; mu (n p mod q), q and
+    # n are exact in float64, so each division rounds as Python's int / int does
     n = np.arange(N + 1, U + 1, dtype=np.int64)
-    r = n * (p % q) % q  # n p mod q
-    lhs = math.fsum((table.mu[N + 1 : U + 1] * r / q / n).tolist())
+    lhs = _fsum(table.mu[N + 1 : U + 1] * (n * (p % q) % q) / q / n)
 
     M = _MertensRun(table, N)(N, U + 1)  # M(N..U), shared by every term below
     boundary = (
@@ -217,11 +231,9 @@ def abel_identity_check(table: MoebiusTable, N: int, U: int, x) -> float:
     )
     drift = -(p / q) * _tail_sums(lambda a, b: M[a - N : b - N], N, [U])[1][0]
     t0, t1, m, a = _step_pieces(M, N, U, k, p, q)
-    # math.log1p per piece: np.log1p may differ from it in the last bit
-    logs = np.fromiter(map(math.log1p, ((t1 - t0) / t0).tolist()), np.float64, len(t0))
+    logs = np.log1p((t1 - t0) / t0)
     # a * float(p): a p < 2^53 under MAX_FLOOR_UX, so the float product is exact
-    frac_terms = m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0))
-    frac_integral = math.fsum(frac_terms.tolist())
+    frac_integral = _fsum(m * ((p / q) * logs + a * float(p) * (1.0 / t1 - 1.0 / t0)))
     rhs = boundary + drift + frac_integral + _jump_sum(M, N, k, p, q)
     return abs(lhs - rhs)
 

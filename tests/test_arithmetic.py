@@ -162,6 +162,10 @@ def test_build_rejects_bad_limits():
         fraclab.build_tables(0)
     with pytest.raises(InputError, match="got 100000001"):
         fraclab.build_tables(arithmetic.MAX_LIMIT + 1)
+    # a float is not cut to an int, and True does not build a one-entry table
+    for limit in (2.5, True):
+        with pytest.raises(InputError, match=f"sieve_limit must be an integer, got {limit}"):
+            fraclab.build_tables(limit)
 
 
 def test_mertens_examples(table4):

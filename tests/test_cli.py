@@ -156,6 +156,24 @@ def test_fast_sweep_stdout_pinned(monkeypatch, capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == FAST_SWEEP_SHA256[command]
 
 
+#: sha256 of the stdout of a dense sine-series grid and of the README
+#: ``tails`` example, whose sums all come from ``arithmetic._range_sums``
+RANGE_SUMS_SHA256 = {
+    "sine-series --x 0.3711 --n-max 1000000 --points 100000":
+        "cde2de5d61a08154c5c5aef7e94dd3b1d3e561ac24b6a07b54676a96db8c36fc",
+    "tails --cutoffs 1000,10000,100000,1000000 --c 1.0":
+        "07959d8c3e377332e939ce0c839468cc9915523762aec3c2ad81405af0ff4e29",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RANGE_SUMS_SHA256))
+def test_range_sums_stdout_pinned(monkeypatch, capsys, command):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    rc, out, err = run_cli(command.split(), capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RANGE_SUMS_SHA256[command]
+
+
 def test_figure1_deterministic(capsys):
     rc1, first, _ = run_cli(["figure1"], capsys)
     rc2, second, _ = run_cli(["figure1"], capsys)

@@ -80,6 +80,18 @@ def test_sine_series_partials_match_per_point_fsum(table6, x):
     assert bits([fraclab.sine_series_partial(table6, grid[7], x)]) == bits([got[7]])
 
 
+def test_sine_series_partials_run_the_kernel_once_per_chunk(table6):
+    # 10^4 grid points over 3 chunks of terms: one exact-sum kernel call per
+    # chunk, not one per piece between grid points
+    c, x = arithmetic._FSUM_CHUNK, 0.3711
+    Ns = np.linspace(1, 3 * c, 10_000).astype(np.int64).tolist()
+    assert len(set(Ns)) == len(Ns)
+    with mock.patch.object(arithmetic, "_exact_prefixes", wraps=arithmetic._exact_prefixes) as kernel:
+        got = fraclab.sine_series_partials(table6, Ns, x)
+    assert kernel.call_count == 3
+    assert bits(got[::97]) == bits(oracle_sine_partials(table6, Ns, x)[::97])
+
+
 def test_sine_series_partials_validation(table4):
     assert fraclab.sine_series_partials(table4, [], 0.3) == []
     for Ns in ([5, 5], [7, 3]):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -59,9 +60,11 @@ def bits(values):
 # -- the binned range sums against math.fsum over the term list
 
 finite = st.one_of(
-    st.floats(min_value=-(2.0**900), max_value=2.0**900),  # subnormals and -0.0 too
-    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 900)),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, 2.0**900]),
+    # the whole finite range: subnormals, -0.0 and the float maximum too
+    st.floats(min_value=-sys.float_info.max, max_value=sys.float_info.max),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, 2.0**900,
+                     sys.float_info.max, -sys.float_info.max]),
 )
 
 
@@ -71,6 +74,16 @@ def term_arrays(draw):
     if xs:  # exact cancellation: some terms again with the sign flipped
         xs += [-v for v in draw(st.lists(st.sampled_from(xs), max_size=20))]
     return np.array(draw(st.permutations(xs)), dtype=np.float64)
+
+
+def fsum(values):
+    """``math.fsum``, which raises OverflowError once one of its partial sums
+    passes the float range; there the exact sum, rounded once from
+    Fractions, which raises OverflowError only when the sum itself does."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values), Fraction(0)))
 
 
 def prefixes_and_tails(term, start, bounds, rows=None):
@@ -99,19 +112,68 @@ def test_range_fsums_equal_fsum_over_the_terms(x, data, chunk):
     def two_rows(a, b):
         return np.stack((x[a:b], y[a:b]))
 
+    def expected(z):  # the prefix and the tail sums of z, one list each
+        return ([fsum(z[start:b].tolist()) for b in bounds],
+                [fsum(z[b:stop].tolist()) for b in bounds])
+
+    try:
+        (x_prefix, x_tail), (y_prefix, y_tail) = expected(x), expected(y)
+    except OverflowError:  # a sum past the float range (test_range_fsums_past_the_float_range)
+        assume(False)
     with mock.patch.object(arithmetic, "_FSUM_CHUNK", chunk):
         prefix, tail = prefixes_and_tails(term, start, bounds)
         rows = prefixes_and_tails(two_rows, start, bounds, rows=2)
-    assert bits(prefix) == bits(math.fsum(x[start:b].tolist()) for b in bounds)
-    assert bits(tail) == bits(math.fsum(x[b:stop].tolist()) for b in bounds)
+    assert bits(prefix) == bits(x_prefix)
+    assert bits(tail) == bits(x_tail)
     # each pass (prefixes, then tails) builds every term up to the last
     # bound once, one chunk at a time
     assert built == 2 * [(a, min(a + chunk, stop)) for a in range(start, stop, chunk)]
     # a block of rows sums each row as its own term sequence
     assert len(rows) == 2
     assert bits(rows[0][0]) == bits(prefix) and bits(rows[0][1]) == bits(tail)
-    assert bits(rows[1][0]) == bits(math.fsum(y[start:b].tolist()) for b in bounds)
-    assert bits(rows[1][1]) == bits(math.fsum(y[b:stop].tolist()) for b in bounds)
+    assert bits(rows[1][0]) == bits(y_prefix)
+    assert bits(rows[1][1]) == bits(y_tail)
+
+
+def test_range_fsums_past_the_float_range():
+    big = sys.float_info.max
+    # a partial sum past the float range, where math.fsum raises, and back
+    x = np.array([big, big, -big, 2.0**-1074])
+    assert bits(arithmetic._range_sums(lambda a, b: x[a:b], 0, [3, 4])) == bits([big, big])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(x.tolist())
+    # a sum past the float range raises OverflowError, as math.fsum does
+    with pytest.raises(OverflowError):
+        arithmetic._range_sums(lambda a, b: x[a:b], 0, [1, 2])
+
+
+def test_range_fsums_full_chunks_of_huge_terms():
+    # terms up to the float maximum, of mixed sign, over two passes: the
+    # extraction constant 1.5 * 2^52 u must not overflow, nor a slice sum
+    c = arithmetic._FSUM_CHUNK
+    rng = np.random.default_rng(7)
+    n = 2 * c + 300
+    x = rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(900, 1012, n))
+    big = sys.float_info.max
+    # each +-big and its partner share a gap between bounds; 2^1023 spans one
+    x[[3, 4, c + 20, c + 21, 2 * c + 5, 2 * c + 6]] = big, -big, big, -big, -big, big
+    x[[c - 1, c + 9]] = 2.0**1023, -(2.0**1023)
+    x[[6, 7, 8, c + 1]] = 5e-324, -(2.0**-1060), 2.0**-1022, -0.0  # bits far below the rest
+    bounds = [0, 1, 3, 5, 9, c - 1, c, c, c + 11, 2 * c, n]
+    prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, bounds)
+    exact = list(itertools.accumulate(map(Fraction, x.tolist()), initial=Fraction(0)))
+    assert bits(prefix) == bits(float(exact[b]) for b in bounds)
+    assert bits(tail) == bits(float(exact[n] - exact[b]) for b in bounds)
+    # the bits below 2^-1042 that scaling by 2^-32 drops, once the huge terms cancel
+    x = np.array([big, 5e-324, -big, -(2.0**-1060), 2.0**1023, -(2.0**1023)])
+    assert bits(arithmetic._range_sums(lambda a, b: x[a:b], 0, [2, 4, 6])) == bits(
+        [big, 5e-324 - 2.0**-1060, 5e-324 - 2.0**-1060])
+    # a whole chunk of one term, each rounded up to 2^1010 by its top slice:
+    # 2^14 of those sum to 2^1024, past the float range, unless scaled first
+    x = np.full(c, 2.0**1010 - 2.0**970)
+    prefix, tail = prefixes_and_tails(lambda a, b: x[a:b], 0, [1, c])
+    assert bits(prefix) == bits([x[0], math.fsum(x.tolist())])
+    assert bits(tail) == bits([math.fsum(x[1:].tolist()), 0.0])
 
 
 def test_range_fsums_full_chunks_in_one_binade():
@@ -167,6 +229,16 @@ def test_range_fsums_reject_non_finite_terms(bad):
 def test_range_fsums_reject_bad_bounds(bounds):
     with pytest.raises(AssertionError, match="bounds"):
         arithmetic._range_sums(lambda a, b: np.ones(b - a), 1, bounds)
+
+
+def test_range_fsums_run_the_kernel_once_per_chunk_and_row(table6):
+    # both tail columns over 3 chunks, cut at 10 cutoffs: 2 rows x 3 chunks
+    c = arithmetic._FSUM_CHUNK
+    cutoffs = list(range(1, 3 * c, 3 * c // 10))
+    with mock.patch.object(arithmetic, "_exact_prefixes", wraps=arithmetic._exact_prefixes) as kernel:
+        rows = tails._tail_sums(tails._MertensRun(table6, 1), 1, [*cutoffs, 3 * c + 1])
+    assert kernel.call_count == 6
+    assert bits(rows[0]) == bits(oracle_tail_u2(table6, 1, b) for b in [*cutoffs, 3 * c + 1])
 
 
 # -- M built from mu where it is read, against one whole-length cumsum
@@ -397,6 +469,9 @@ def test_abel_rejects_bad_x(table4):
         # floats carry huge power-of-two denominators; they must not
         # sneak through as "rational" x
         fraclab.abel_identity_check(table4, 1, 10, 0.3)
+    for x in (math.nan, math.inf, -math.inf):  # refused before Fraction(x) raises
+        with pytest.raises(InputError, match=f"x must be finite, got {x}"):
+            fraclab.abel_identity_check(table4, 1, 10, x)
 
 
 def test_abel_x_above_one_is_fine(table4):
