@@ -105,10 +105,10 @@ def _check_integer(n: int, what: str = "index") -> None:
         raise InputError(f"{what} must be an integer, got {n!r}")
 
 
-def _check_limit(limit: int) -> None:
-    _check_integer(limit, "sieve_limit")
+def _check_limit(limit: int, what: str = "sieve_limit") -> None:
+    _check_integer(limit, what)
     if not 1 <= limit <= MAX_LIMIT:
-        raise InputError(f"sieve_limit must be in 1..{MAX_LIMIT}, got {limit}")
+        raise InputError(f"{what} must be in 1..{MAX_LIMIT}, got {limit}")
 
 
 def _frozen_table(limit: int, mu: np.ndarray) -> MoebiusTable:
@@ -360,21 +360,20 @@ def save_cache(table: MoebiusTable, path) -> None:
 
 
 def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
-    """Restore a read-only table of mu(1..prefix) from a cache file
-    written by ``save_cache``; all of it when ``prefix`` is None or past
-    the cache's limit, so a table shorter than ``prefix`` says the cache
-    is.
+    """Restore a read-only table of exactly mu(1..prefix), or of all of
+    the cache when ``prefix`` is None, from a file ``save_cache`` wrote.
 
     Only the header and the prefix's bytes are read, straight into the
     table's mu array; the file size must be exactly the 12 header bytes
     plus the ``limit`` body bytes ``save_cache`` writes.  A loaded table
     has the same fields as a sieved one and nothing is derived on load,
-    so it takes one byte per entry.  Raises ValueError on a bad magic, a bad
-    header, a body shorter or longer than the limit, or a read value
-    outside {-1, 0, 1}, and on a ``prefix`` below 1.
+    so it takes one byte per entry.  InputError unless ``prefix`` is an
+    integer in 1..MAX_LIMIT; ValueError on a bad magic, a bad header, a
+    body shorter or longer than the limit, a limit below ``prefix``, or a
+    read value outside {-1, 0, 1}.
     """
-    if prefix is not None and prefix < 1:
-        raise ValueError(f"cache prefix must be >= 1, got {prefix}")
+    if prefix is not None:
+        _check_limit(prefix, "cache prefix")
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -391,12 +390,13 @@ def load_cache(path, prefix: Optional[int] = None) -> MoebiusTable:
             raise ValueError(
                 f"{kind} sieve cache body in {path}: {body} bytes for limit {limit}"
             )
-        if prefix is not None:
-            limit = min(limit, prefix)
-        mu = np.empty(limit + 1, dtype=np.int8)
+        read = limit if prefix is None else int(prefix)
+        if read > limit:
+            raise ValueError(f"sieve cache in {path} only reaches {limit}, not {read}")
+        mu = np.empty(read + 1, dtype=np.int8)
         mu[0] = 0
-        if fh.readinto(mu[1:]) != limit:
+        if fh.readinto(mu[1:]) != read:
             raise ValueError(f"truncated sieve cache body in {path}")
     if mu[1] != 1 or mu.min() < -1 or mu.max() > 1:
         raise ValueError(f"sieve cache in {path} holds values outside {{-1,0,1}}")
-    return _frozen_table(int(limit), mu)
+    return _frozen_table(read, mu)

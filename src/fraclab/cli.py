@@ -20,11 +20,11 @@ series and figure2 read only to --n-max, and verify only to the 10^6.
 
 The sieve cache path comes from --cache, falling back to the
 FRACLAB_CACHE environment variable.  With a cache a command reads just
-its prefix from it.  An unreadable cache, or one that does not reach
-that prefix, is ignored with a warning and the sieve is rebuilt to
---limit (and re-saved, atomically); a larger cache is cut as it is
-read, so output never depends on the cache.  Without a cache a command
-sieves just its prefix.
+its prefix from it.  A cache ``load_cache`` refuses (unreadable,
+corrupt, or short of that prefix) is ignored with a warning, a missing
+one silently, and the sieve is rebuilt to --limit (and re-saved,
+atomically); a larger cache is cut as it is read, so output never
+depends on the cache.  Without a cache a command sieves just its prefix.
 """
 
 from __future__ import annotations
@@ -63,29 +63,23 @@ def _get_table(args: argparse.Namespace, read: int) -> MoebiusTable:
     prefix, whatever the cache holds.
 
     ``--limit`` is a ceiling, checked by ``main`` and ``_preflight``.  The
-    prefix comes from the cache, read only that far, when it reaches it;
-    otherwise it is sieved, to ``read`` without a cache path, else to
-    ``--limit`` and saved, and the prefix of that table returned.
+    prefix is sieved without a cache path, else read from the cache, which
+    gives exactly that prefix or raises; on a refusal the sieve is rebuilt
+    to ``--limit`` and saved, and the prefix of that table returned.
     """
     _preflight(args, read)
-    limit = args.limit
     path = args.cache
     if not path:
         return build_tables(read)
-    if os.path.exists(path):
-        try:
-            # prefix by keyword: perfbench's tracer reads a second
-            # positional argument as the cache path
-            cached = load_cache(path, prefix=read)
-        except (OSError, ValueError) as exc:
-            _warn(f"ignoring sieve cache: {exc}")
-        else:
-            if cached.limit == read:
-                return cached
-            _warn(
-                f"sieve cache at {path} only reaches {cached.limit}; rebuilding to {limit}"
-            )
-    table = build_tables(limit)
+    try:
+        # prefix by keyword: perfbench's tracer reads a second
+        # positional argument as the cache path
+        return load_cache(path, prefix=read)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        _warn(f"ignoring sieve cache: {exc}; rebuilding to {args.limit}")
+    table = build_tables(args.limit)
     try:
         save_cache(table, path)
     except OSError as exc:

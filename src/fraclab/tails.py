@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
@@ -148,8 +149,11 @@ def tail_integral_u1(table: MoebiusTable, N: int, U: int) -> float:
 
 
 def _coerce_x(x) -> Fraction:
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InputError(f"x must be finite, got {x}")
+    if isinstance(x, (float, np.floating, Decimal)):  # by its exact value
+        try:
+            x = Fraction(*x.as_integer_ratio())
+        except (ValueError, OverflowError):  # a NaN or an infinity
+            raise InputError(f"x must be finite, got {x}") from None
     xf = Fraction(x)
     if xf <= 0:
         raise InputError(f"x must be positive, got {xf}")

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from fraclab import acceptance
+from fraclab import acceptance, cli
 
 #: M(10^k) for k = 3..6 (OEIS A084237), independent of the sieve
 MERTENS_AT_DECADES = {10**3: 2, 10**4: -23, 10**5: -48, 10**6: 212}
@@ -116,3 +116,23 @@ def test_criterion_11_figure1_reproduction(table6):
 
 def test_criterion_12_tail_diagnostics(table6):
     _assert_passes(table6, 12)
+
+
+def test_crashed_criterion_is_reported_failed(monkeypatch, capsys, table6):
+    def crash(table):
+        raise ValueError("no verdict")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (k, name, crash if k == 5 else func) for k, name, func in acceptance.CRITERIA
+    ])
+    results = acceptance.run_criteria(table6, only=[4, 5, 6])
+    # the crash fails its own criterion only: the ones around it still run
+    assert [(r.number, r.passed) for r in results] == [(4, True), (5, False), (6, True)]
+    assert results[1].detail == "raised ValueError: no verdict"
+    monkeypatch.setattr(cli, "build_tables", lambda limit: table6)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert cli.main(["verify", "--only", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "  5 FAIL sum mu^2/n^2 near 15/pi^2: raised ValueError: no verdict\n" in out
+    assert "0/1 criteria passed\n" in out
+    assert err == "fraclab: warning: failing criteria: 5\n"

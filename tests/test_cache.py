@@ -6,10 +6,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraclab
 from fraclab import arithmetic, cli
-from fraclab.arithmetic import CACHE_MAGIC
+from fraclab.arithmetic import CACHE_MAGIC, InputError
+
+#: the table of the fuzzed cache, and the bytes save_cache writes for it
+SIEVED = fraclab.build_tables(1000)
+CLEAN = CACHE_MAGIC + struct.pack("<Q", 1000) + SIEVED.mu[1:].tobytes()
 
 
 def test_round_trip(tmp_path):
@@ -89,10 +95,94 @@ def test_prefix_read(tmp_path):
     assert np.array_equal(loaded.mu, small.mu)
     assert np.array_equal(np.cumsum(loaded.mu), np.cumsum(small.mu))
     assert np.array_equal(loaded.mu != 0, small.mu != 0)
-    # a prefix past the cache gets the whole, shorter, table
-    assert fraclab.load_cache(path, prefix=9000).limit == 5000
+    # a prefix past the cache is refused
+    with pytest.raises(ValueError, match="only reaches 5000, not 9000"):
+        fraclab.load_cache(path, prefix=9000)
     with pytest.raises(ValueError, match="prefix"):
         fraclab.load_cache(path, prefix=0)
+
+
+@pytest.mark.parametrize("prefix", [2.5, True, "3", 0, -1, arithmetic.MAX_LIMIT + 1])
+def test_prefix_must_be_an_integer_in_range(tmp_path, prefix):
+    path = tmp_path / "sieve.muv"
+    fraclab.save_cache(fraclab.build_tables(10), path)
+    with pytest.raises(InputError, match="cache prefix must be"):
+        fraclab.load_cache(path, prefix=prefix)
+    table = fraclab.load_cache(path, prefix=np.int64(7))
+    assert type(table.limit) is int and table.limit == 7
+
+
+@pytest.mark.parametrize("size", range(4, 12))
+def test_truncated_header_rejected(tmp_path, size):
+    path = tmp_path / "short.muv"
+    path.write_bytes(CLEAN[:size])
+    with pytest.raises(ValueError, match="truncated sieve cache header"):
+        fraclab.load_cache(path)
+
+
+@pytest.mark.parametrize("limit", [0, arithmetic.MAX_LIMIT + 1])
+def test_header_limit_out_of_range_rejected(tmp_path, limit):
+    path = tmp_path / "limit.muv"
+    path.write_bytes(CACHE_MAGIC + struct.pack("<Q", limit) + CLEAN[12:])
+    with pytest.raises(ValueError, match=f"sieve cache limit {limit} out of range"):
+        fraclab.load_cache(path)
+
+
+def _mutate(raw, mutation):
+    kind, arg = mutation
+    if kind == "keep":
+        return raw
+    if kind == "truncate":
+        return raw[:arg]
+    if kind == "append":
+        return raw + arg
+    if kind == "limit":
+        return raw[:4] + struct.pack("<Q", arg) + raw[12:]
+    at, value = arg
+    return raw[: 12 + at] + bytes([value]) + raw[13 + at :]
+
+
+#: the clean cache, or one change to it of a kind the loader must catch.  A
+#: body byte changed to another value in {-1, 0, 1} is left out: nothing in
+#: the file tells it from the sieve's own byte, until the cache carries a
+#: checksum
+MUTATIONS = st.one_of(
+    st.tuples(st.just("keep"), st.none()),
+    st.tuples(st.just("truncate"), st.integers(0, len(CLEAN) - 1)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("limit"), st.one_of(
+        st.sampled_from([0, 999, 1001, arithmetic.MAX_LIMIT, arithmetic.MAX_LIMIT + 1]),
+        st.integers(0, 2**64 - 1).filter(lambda limit: limit != 1000),
+    )),
+    st.tuples(st.just("byte"), st.tuples(st.integers(0, 999), st.integers(2, 254))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "sieve.muv"
+
+
+@settings(max_examples=300)
+@given(mutation=MUTATIONS, prefix=st.integers(1, 1200))
+def test_mutated_cache_gives_the_sieved_prefix_or_raises(fuzz_path, mutation, prefix):
+    fuzz_path.write_bytes(_mutate(CLEAN, mutation))
+    loaded = []
+    for read in (None, prefix):
+        try:
+            table = fraclab.load_cache(fuzz_path, prefix=read)
+        except ValueError:  # any other exception fails the test
+            continue
+        want = SIEVED.limit if read is None else read
+        assert table.limit == want
+        assert np.array_equal(table.mu, SIEVED.mu[: want + 1])
+        loaded.append(read)
+    # every change reaches the whole read, so that read refuses it; a prefix
+    # read succeeds only within the cache and before a changed byte
+    kind, arg = mutation
+    whole = [None] if kind == "keep" else []
+    reached = (kind == "keep" and prefix <= 1000) or (kind == "byte" and prefix <= arg[0])
+    assert loaded == whole + ([prefix] if reached else [])
 
 
 def test_prefix_read_checks_size_and_read_bytes(tmp_path):
@@ -193,6 +283,37 @@ def test_cli_undersized_cache_rebuilds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "only reaches 50" in captured.err
+    assert fraclab.load_cache(path).limit == 500
+
+
+@pytest.mark.parametrize("cache", ["missing", "short", "bad magic", "unreadable"])
+def test_cli_refused_cache_one_warning_then_rebuild(tmp_path, monkeypatch, capsys, cache):
+    path = tmp_path / "sieve.muv"
+    reason = None  # a missing cache is rebuilt without a warning
+    if cache == "short":
+        fraclab.save_cache(fraclab.build_tables(50), path)
+        reason = f"sieve cache in {path} only reaches 50, not 500"
+    elif cache == "bad magic":
+        path.write_bytes(b"XXXX" + CLEAN[4:])
+        reason = f"bad sieve cache magic b'XXXX' in {path}"
+    elif cache == "unreadable":
+        path.write_bytes(CLEAN)
+        real_open = open
+
+        def no_read(file, mode="r", *args):
+            if "r" in mode:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args)
+
+        monkeypatch.setattr(arithmetic, "open", no_read, raising=False)
+        reason = f"[Errno 13] Permission denied: '{path}'"
+    rc = cli.main(["sieve", "--limit", "500", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "limit,500\nmertens,-6\nsquarefree_count,306\n"
+    warning = f"fraclab: warning: ignoring sieve cache: {reason}; rebuilding to 500\n"
+    assert captured.err == ("" if reason is None else warning)
+    monkeypatch.undo()
     assert fraclab.load_cache(path).limit == 500
 
 

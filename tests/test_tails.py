@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -469,9 +470,16 @@ def test_abel_rejects_bad_x(table4):
         # floats carry huge power-of-two denominators; they must not
         # sneak through as "rational" x
         fraclab.abel_identity_check(table4, 1, 10, 0.3)
-    for x in (math.nan, math.inf, -math.inf):  # refused before Fraction(x) raises
+    non_finite = (math.nan, math.inf, -math.inf, np.float32("nan"), np.float32("inf"),
+                  Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity"))
+    for x in non_finite:  # refused before Fraction(x) raises
         with pytest.raises(InputError, match=f"x must be finite, got {x}"):
             fraclab.abel_identity_check(table4, 1, 10, x)
+    # a numpy float is read by its value, as a float is
+    half = fraclab.abel_identity_check(table4, 1, 10, 0.5)
+    assert fraclab.abel_identity_check(table4, 1, 10, np.float32(0.5)) == half
+    with pytest.raises(InputError, match="denominator"):
+        fraclab.abel_identity_check(table4, 1, 10, np.float32(0.3))
 
 
 def test_abel_x_above_one_is_fine(table4):
