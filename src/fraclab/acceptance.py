@@ -91,9 +91,9 @@ def _c2_closed_form_law(table: MoebiusTable) -> Tuple[bool, str]:
         if gap >= 1e-12:
             return False, f"quadrature gap {gap:.3e} at (n={n}, m={m})"
     n, m = np.indices((200, 200)).reshape(2, -1) + 1  # the grid, n-major
-    total, den = exact._correlation_terms(n, m)
-    # the engine's total / den against the law (3nm + g^2) / (12nm), cross-multiplied
-    broken = total * (12 * n * m) != den * (3 * n * m + np.gcd(n, m) ** 2)
+    L, p, q = exact._lattices(n, m)
+    # total / (6Lpq) = (3pq + 1) / (12pq), the law, cross-multiplied: at most 4.8 10^9
+    broken = 2 * exact._sweep_totals(L, p, q) != L * (3 * p * q + 1)
     if broken.any():
         return False, f"law broken at (n={n[broken][0]}, m={m[broken][0]})"
     return True, (

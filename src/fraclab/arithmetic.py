@@ -22,8 +22,7 @@ sum_{d|k} J2(d) = k**2, and the smallest prime factor of each n are not
 part of the table.  ``_smallest_factors`` builds the factors over any
 range, and J2 has one method: J2(d) = J2(d/p) (p**2 - [p does not divide
 d/p]), p the smallest prime factor of d.  ``build_jordan2`` runs it over
-a table's range, and the gcd-grouped double-sum sweep at the square-free
-n it reaches.
+a table's range, and the gcd-grouped double-sum sweep reads J2 from it.
 
 A table is frozen and its arrays are read-only, so it is safe to share
 across threads; every function here is a pure read of the arrays.

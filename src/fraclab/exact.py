@@ -43,16 +43,19 @@ M = T/Q) leaves
 Floor sums.  ``_floor_sums`` gets f, g and h by the degree-2 "universal
 Euclidean" recursion, which extends the floor_sum of AtCoder Library
 (atcoder/math.hpp) to g and h: reduce the slope and the offset mod the
-divisor, then swap the two axes of the lattice-point count.  That is
-Euclid's algorithm on P/Q, about log(P) levels.
+divisor, then swap the two axes of the lattice-point count.
 
-Lockstep batch.  ``_floor_sums`` runs that recursion on arrays, one row
-per floor sum, every row one level at a time.  A level reduces all
-rows, keeps its frame, and swaps them; a row whose reduced maximum m is
-0 is finished and goes on with n = 0 (and divisor 1), whose frames add
-nothing, until every row is finished.  The way back up combines the
-frames with the same lines for every row: a finished row carries
-f = g = h = 0 and m = 0, for which the swap formulas give 0 again.
+Recursion on arrays.  ``_floor_sums`` takes one row per floor sum.  A
+level reduces every row, and only the rows whose reduced maximum m is
+positive recurse, together, on their swapped arguments; in the others
+y' = 0.  The way back scatters the swapped sums into zeros and undoes
+the swap for every row, which gives 0 again where m = 0.  A row's
+divisors from level to level are c, a mod c and the further remainders
+of Euclid's algorithm on (a, c), each at least the sum of the next two.
+So a row of k levels has c >= F_{k+1} (Fibonacci) and k <= log_phi(c) + 1:
+29 levels for c < PAIR_SIZE_LIMIT, 91 for c < 2^63, where Python allows
+1000.  A row pays for its own levels only (3.9 on average, 10 at most
+on criterion 2's grid), but a level holds a dozen arrays of its rows.
 
 Chunks and dtype.  ``_sweep_totals`` cuts the arrays T, P and Q (int64
 or object) into chunks of ENGINE_CHUNK rows, which bounds the arrays it
@@ -101,7 +104,7 @@ from .arithmetic import InputError, _is_integer_type
 #: dtype follows from each chunk's T, so this bounds no int64 work.
 PAIR_SIZE_LIMIT = 10**6
 
-#: rows per chunk of the lockstep engine
+#: rows per chunk of the engine
 ENGINE_CHUNK = 4096
 
 #: largest entry of a chunk that runs on int64 arrays (module docstring)
@@ -122,33 +125,31 @@ def _floor_sums(
     where y = floor((a*i + b) / c); needs n, a, b >= 0 and c >= 1.
 
     The arguments are arrays of one dtype, int64 or object, and so are
-    the results.  Each level first splits off y = (a//c) i + b//c + y'
-    and keeps a, b mod c.  Then y' counts the j < y'_max with
+    the results.  A level first splits off y = (a//c) i + b//c + y' and
+    keeps a, b mod c.  Then y' counts the j < y'_max with
     (j+1) c <= a i + b, and summing over j instead of i is the same
-    problem for (c, c - b - 1, a) over y'_max terms.  The frames are
-    kept on the way down and combined on the way up, all rows in
-    lockstep (module docstring).
+    problem for (c, c - b - 1, a) over y'_max terms: the rows with
+    y'_max > 0 recurse on it, and y' = 0 in every other row (module
+    docstring).
     """
-    frames = []
-    while n.any():
-        qa, qb = a // c, b // c
-        a, b = a % c, b % c
-        m = np.maximum((a * (n - 1) + b) // c, 0)  # the largest reduced y'
-        frames.append((n, qa, qb, m))
-        a, b, c, n = c, c - b - 1, np.where(m > 0, a, 1), m
-    f = g = h = np.zeros_like(n)
-    for n, qa, qb, m in reversed(frames):
-        # undo the swap: (f, g, h) of the swapped sums -> of y'
-        f, g, h = (
-            m * (n - 1) - f,
-            (m * n * (n - 1) - h - f) // 2,
-            (n - 1) * m * m - 2 * g - f,
-        )
-        s1 = n * (n - 1) // 2  # sum of i
-        s2 = s1 * (2 * n - 1) // 3  # sum of i^2
-        h = h + qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
-        f = f + qa * s1 + qb * n
-        g = g + qa * s2 + qb * s1
+    qa, qb = a // c, b // c
+    a, b = a % c, b % c
+    m = np.maximum((a * (n - 1) + b) // c, 0)  # the largest reduced y'
+    f, g, h = (np.zeros_like(n) for _ in range(3))
+    live = np.flatnonzero(m)  # a >= 1 there, as b < c
+    if live.size:
+        f[live], g[live], h[live] = _floor_sums(*(v[live] for v in (m, c, c - b - 1, a)))
+    # undo the swap: (f, g, h) of the swapped sums -> of y'
+    f, g, h = (
+        m * (n - 1) - f,
+        (m * n * (n - 1) - h - f) // 2,
+        (n - 1) * m * m - 2 * g - f,
+    )
+    s1 = n * (n - 1) // 2  # sum of i
+    s2 = s1 * (2 * n - 1) // 3  # sum of i^2
+    h = h + qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
+    f = f + qa * s1 + qb * n
+    g = g + qa * s2 + qb * s1
     return f, g, h
 
 
@@ -255,7 +256,8 @@ def expected_correlation(n: int, m: int, X: int) -> Fraction:
 
 
 def correlation_closed_form(n: int, m: int) -> Fraction:
-    """1/4 + gcd(n, m)^2 / (12 n m), the closed-form correlation law."""
-    _, p, q = _lattices(np.array([n], dtype=object), np.array([m], dtype=object))
-    return Fraction(1, 4) + Fraction(1, 12 * int(p[0]) * int(q[0]))  # g^2 / (n m) = 1 / (p q)
+    """1/4 + gcd(n, m)^2 / (12 n m) = (3pq + 1) / (12pq), the closed-form correlation law."""
+    n, m = np.array([n], dtype=object), np.array([m], dtype=object)
+    p, q = (int(v[0]) for v in _lattices(n, m)[1:])
+    return Fraction(3 * p * q + 1, 12 * p * q)
 

@@ -16,7 +16,8 @@ S(N) has two routes.  The direct route walks the O(N^2) square-free
 pairs; in exact mode they reach the exact engine as two int64 arrays
 (``exact._correlation_terms``), so no closed form is involved anywhere
 on that path.  The fast route rewrites gcd(n, m)^2 through the Jordan
-totient divisor identity sum_{d | g} J2(d) = g^2:
+totient divisor identity sum_{d | g} J2(d) = g^2, J2 from
+``arithmetic.build_jordan2``:
 
     S(N) = P(N)^2 / 4 + (1/12) sum_{d<=N} J2(d) A_d(N)^2 - D(N) / 3,
     A_d(N) = sum_{n<=N, d|n} mu(n)/n^2,   P(N) = sum mu(n)/n,
@@ -67,6 +68,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .arithmetic import InputError, MoebiusTable, _fsum, _range_sums, _smallest_factors, mertens
+from .arithmetic import build_jordan2
 from .exact import _correlation_terms
 
 #: limiting value of the correlation double sum
@@ -192,16 +194,13 @@ def _fast_sweep(table: MoebiusTable, n_max: int, exact: bool) -> List[Value]:
     scale = math.lcm(*sf) ** 2 if exact else FIXED_POINT_SCALE
     mu = table.mu[: n_max + 1].tolist()
     spf = _smallest_factors(0, n_max + 1).tolist()
-    j2 = [0, 1] + [0] * (n_max - 1)  # J2 at the square-free n reached so far
+    j2 = build_jordan2(MoebiusTable(n_max, table.mu[: n_max + 1])).tolist()
     four_scale = 4 * scale
     row_den = 12 * scale * scale
     P = D = G = 0
     A = [0] * (n_max + 1)
     rows = []
     for n in sf:
-        if n > 1:
-            p = spf[n]
-            j2[n] = (p * p - 1) * j2[n // p]
         nn = n * n
         # mu(n) scale / n and mu(n) scale / n^2, rounded to the nearest integer
         P += (2 * mu[n] * scale + n) // (2 * n)
@@ -233,10 +232,8 @@ def correlation_double_sum_sweep(
     Both fast sweeps run one integer loop, at an exact scale in exact
     mode (module docstring): each new square-free n updates P, D, G and
     A_d for every d | n, with divisors from the smallest prime factors
-    to n_max (``arithmetic._smallest_factors``).  The sweep reads J2 only at
-    square-free d, so it sets J2(n) = (p^2 - 1) J2(n/p), p the smallest
-    prime factor, as it reaches each square-free n: the recurrence of
-    ``arithmetic.build_jordan2`` where p never divides n/p.
+    to n_max (``arithmetic._smallest_factors``) and J2 from
+    ``arithmetic.build_jordan2`` over 1..n_max.
     The fast sweep makes one Fraction per row in exact mode and rounds
     each row once in float mode.  The direct sweeps add one row of pairs
     (n, m < n) per square-free n; the exact one accumulates Fractions.

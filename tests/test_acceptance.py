@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from fraclab import acceptance, cli
+from fraclab import acceptance, cli, exact
 
 #: M(10^k) for k = 3..6 (OEIS A084237), independent of the sieve
 MERTENS_AT_DECADES = {10**3: 2, 10**4: -23, 10**5: -48, 10**6: 212}
@@ -62,6 +62,19 @@ def test_criterion_01_diagonal_exact(table6):
 
 def test_criterion_02_closed_form_law(table6):
     _assert_passes(table6, 2)
+
+
+def test_criterion_02_names_the_first_broken_grid_pair(monkeypatch, table6):
+    sweep_totals = exact._sweep_totals
+
+    def off_by_one(T, P, Q):
+        totals = sweep_totals(T, P, Q)
+        totals[(17 - 1) * 200 + 91 - 1] += 1   # (17, 91) on the n-major 200x200 grid
+        return totals
+
+    monkeypatch.setattr(exact, "_sweep_totals", off_by_one)
+    result = _run(table6, 2)
+    assert (result.passed, result.detail) == (False, "law broken at (n=17, m=91)")
 
 
 def test_criterion_03_double_sum_convergence(table6):

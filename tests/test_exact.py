@@ -169,6 +169,10 @@ floor_rows = st.tuples(
 @settings(max_examples=300)
 @example(rows=[(0, 5, 3, 2), (7, 0, 9, 4), (30, 13, 0, 8)])
 @example(rows=[(40, S, S - 1, S), (40, S + 1, 0, S + 1)])   # below and above, one batch
+# a = 0 ends at the first level, consecutive Fibonacci a and c take
+# Euclid's longest path (F_25 = 75025 terms, 23 levels); n = 0 and n = 1
+@example(rows=[(9, 0, 5, 7), (75025, 46368, 0, 75025), (0, 13, 2, 21), (1, 8, 7, 13)])
+@example(rows=[(0, 0, 3, 1), (10**5, 1134903170, 5, 1836311903), (1, 10**9, 10**9, 1)])
 def test_floor_sums_match_a_literal_loop(rows):
     expected = [literal_floor_sums(*row) for row in rows]
     assert floor_sums_batch(rows) == expected                # one batch, one dtype
@@ -227,6 +231,29 @@ def test_sweep_totals_at_the_int64_switch(chunk, rows):
         mp.setattr(exact, "ENGINE_CHUNK", chunk)
         for dtype in (np.int64, object):
             assert exact._sweep_totals(*np.array(rows, dtype=dtype).T).tolist() == expected
+
+
+FIB = [0, 1]
+while len(FIB) < 92:
+    FIB.append(FIB[-2] + FIB[-1])
+
+
+def test_sweep_totals_on_consecutive_fibonacci_rows(monkeypatch):
+    # P = F_k, Q = F_{k+1}: Euclid's longest path, one level per step,
+    # on object arrays up to F_90 F_91 ~ 1.3 10^37
+    rows = [(FIB[k] * FIB[k + 1], FIB[k], FIB[k + 1]) for k in range(1, 91)]
+    levels = []
+
+    def counted(*args, floor_sums=exact._floor_sums):
+        levels.append(len(args[0]))   # one call per level: the rows that reach it
+        return floor_sums(*args)
+
+    monkeypatch.setattr(exact, "_floor_sums", counted)
+    T, P, Q = np.array(rows, dtype=object).T
+    assert exact._sweep_totals(T, P, Q).tolist() == [law_total(*row) for row in rows]
+    # row k takes max(k - 1, 1) levels, within log_phi(F_{k+1}) + 1 (module
+    # docstring), and leaves the recursion after its last
+    assert levels == [90] + list(range(88, 0, -1))
 
 
 def test_batch_longer_than_a_chunk(monkeypatch):
