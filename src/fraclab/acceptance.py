@@ -177,7 +177,7 @@ def _c9_sine_series_trend(table: MoebiusTable) -> Tuple[bool, str]:
     xs = [k / 10 for k in range(1, 10)]
     # residuals at N = 10^2 and 10^5, one prefix pass per x
     resid = [
-        [abs(v - math.sin(2.0 * math.pi * x))
+        [abs(v - series._sin_two_pi(x))
          for v in series.sine_series_partials(table, [10**2, 10**5], x)]
         for x in xs
     ]

@@ -158,7 +158,7 @@ def cmd_sine_series(args: argparse.Namespace) -> int:
     if not math.isfinite(2.0 * math.pi * x):
         raise InputError(f"--x is too large: 2 pi x overflows, got {x}")
     table = _get_table(args, args.n_max)
-    target = math.sin(2.0 * math.pi * x)
+    target = series._sin_two_pi(x)
     grid = _n_grid(args.n_max, args.points)
     rows = (
         (N, x, value, target, abs(value - target))

@@ -48,14 +48,14 @@ divisor, then swap the two axes of the lattice-point count.
 Recursion on arrays.  ``_floor_sums`` takes one row per floor sum.  A
 level reduces every row, and only the rows whose reduced maximum m is
 positive recurse, together, on their swapped arguments; in the others
-y' = 0.  The way back scatters the swapped sums into zeros and undoes
-the swap for every row, which gives 0 again where m = 0.  A row's
+y' = 0.  The way back starts every row from the swap's closed forms, 0
+where m = 0, and subtracts the swapped sums at the live rows.  A row's
 divisors from level to level are c, a mod c and the further remainders
-of Euclid's algorithm on (a, c), each at least the sum of the next two.
-So a row of k levels has c >= F_{k+1} (Fibonacci) and k <= log_phi(c) + 1:
-29 levels for c < PAIR_SIZE_LIMIT, 91 for c < 2^63, where Python allows
-1000.  A row pays for its own levels only (3.9 on average, 10 at most
-on criterion 2's grid), but a level holds a dozen arrays of its rows.
+of Euclid's algorithm on (a, c), each at least the sum of the next two,
+so a row of k levels has c >= F_{k+1} (Fibonacci) and k <= log_phi(c) + 1:
+29 for c < PAIR_SIZE_LIMIT, 91 for c < 2^63 (Python allows 1000).  A row
+pays for its own levels only (3.9 on average, 10 at most on criterion
+2's grid); while the next level runs, a level holds n, m, qa, qb, live.
 
 Chunks and dtype.  ``_sweep_totals`` cuts the arrays T, P and Q (int64
 or object) into chunks of ENGINE_CHUNK rows, which bounds the arrays it
@@ -71,8 +71,8 @@ one object array.  numpy int64 arithmetic wraps silently, so:
   product of the recursion is then at most S^3: a(n-1) + b < cn <= S^2
   for the reduced a, b; m n (n-1), (n-1) m^2 and s1 (2n - 1) <= S^3.
   Every sum is part of a level's true f <= S^2, g <= S^3/2 or
-  h <= S^3: qa qa s2 <= y_max^2 n because qa (n-1) <= y_max, and for
-  n <= 1, where s2 = s1 = 0, qa qa alone is at most S^2.
+  h <= S^3, or of h + f or 2g + f: qa qa s2 <= y_max^2 n as
+  qa (n-1) <= y_max, and for n <= 1, where s2 = s1 = 0, qa qa <= S^2.
 * A row of ``_sweep_totals`` whose T, P and Q are at most S has
   n = T/P, a = P, b = 0, c = Q and y_max < T/Q, all within S.  Its
   closing polynomial stays below 16 S^3: T (2T^2 + P^2 + 6PQ + Q^2)
@@ -118,33 +118,33 @@ def _integers(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(kinds.get, map(type, a)), dtype=bool, count=a.size)
 
 
-def _floor_sums(
-    n: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _floor_sums(rows: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row by row, (f, g, h) = sums over 0 <= i < n of y, i*y and y^2,
     where y = floor((a*i + b) / c); needs n, a, b >= 0 and c >= 1.
 
-    The arguments are arrays of one dtype, int64 or object, and so are
-    the results.  A level first splits off y = (a//c) i + b//c + y' and
-    keeps a, b mod c.  Then y' counts the j < y'_max with
-    (j+1) c <= a i + b, and summing over j instead of i is the same
-    problem for (c, c - b - 1, a) over y'_max terms: the rows with
-    y'_max > 0 recurse on it, and y' = 0 in every other row (module
-    docstring).
+    ``rows`` is the list [n, a, b, c] of arrays of one dtype, int64 or
+    object, and is emptied on entry; the results have that dtype.  A
+    level first splits off y = (a//c) i + b//c + y' and keeps a, b mod
+    c.  Then y' counts the j < y'_max with (j+1) c <= a i + b, and
+    summing over j instead of i is the same problem for (c, c - b - 1, a)
+    over y'_max terms: the rows with y'_max > 0 recurse on it, and y' = 0
+    in every other row (module docstring).
     """
+    n, a, b, c = rows
+    rows.clear()  # the caller keeps no reference to the arrays
     qa, qb = a // c, b // c
     a, b = a % c, b % c
     m = np.maximum((a * (n - 1) + b) // c, 0)  # the largest reduced y'
-    f, g, h = (np.zeros_like(n) for _ in range(3))
     live = np.flatnonzero(m)  # a >= 1 there, as b < c
-    if live.size:
-        f[live], g[live], h[live] = _floor_sums(*(v[live] for v in (m, c, c - b - 1, a)))
-    # undo the swap: (f, g, h) of the swapped sums -> of y'
-    f, g, h = (
-        m * (n - 1) - f,
-        (m * n * (n - 1) - h - f) // 2,
-        (n - 1) * m * m - 2 * g - f,
-    )
+    rows = [v[live] for v in (m, c, c - b - 1, a)]
+    del a, b, c
+    F, G, H = _floor_sums(rows) if live.size else (0, 0, 0)
+    # undo the swap: (F, G, H) of the swapped sums -> (f, g, h) of y';
+    # n(n-1) and H + F = sum y(y+1) are even
+    f, g, h = m * (n - 1), m * n * (n - 1) // 2, (n - 1) * m * m
+    f[live] -= F
+    g[live] -= (H + F) // 2
+    h[live] -= 2 * G + F
     s1 = n * (n - 1) // 2  # sum of i
     s2 = s1 * (2 * n - 1) // 3  # sum of i^2
     h = h + qa * qa * s2 + qb * qb * n + 2 * (qa * qb * s1 + qa * g + qb * f)
@@ -168,7 +168,7 @@ def _sweep_totals(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         part = slice(start, start + ENGINE_CHUNK)
         small = max(T[part].max(), P[part].max(), Q[part].max()) <= INT64_SIZE
         t, p, q = (a[part].astype(np.int64 if small else object) for a in (T, P, Q))
-        f, g, h = _floor_sums(t // p, p, np.zeros_like(p), q)
+        f, g, h = _floor_sums([t // p, p, np.zeros_like(p), q])
         totals[part] = (
             t * (2 * t * t - 3 * t * (p + q) + p * p + 6 * p * q + q * q) // 2
             + 3 * p * q * (q * (f + h) - 2 * p * g)

@@ -83,8 +83,6 @@ SQUARED_IDENTITY_LIMIT = 500
 #: fixed-point scale of the float fast sweep
 FIXED_POINT_SCALE = 2**128
 
-_TWO_PI = 2.0 * math.pi
-
 #: S(N): a Fraction in exact mode, a float otherwise
 Value = Union[float, Fraction]
 
@@ -93,6 +91,12 @@ def _check_x(x: float, N: int) -> None:
     """InputError unless x * N is finite, which for N >= 1 makes x finite too."""
     if not math.isfinite(x * N):
         raise InputError(f"x must be finite with x * N finite up to N={N}, got x={x}")
+
+
+def _sin_two_pi(x: float) -> float:
+    """sin(2 pi x) from the fraction of x alone: math.fmod(x, 1.0) is
+    exact, where the error of the float 2 pi x grows with |x|."""
+    return math.sin(2.0 * math.pi * math.fmod(x, 1.0))
 
 
 def _check_direct_exact(n_max: int) -> None:
@@ -267,7 +271,7 @@ def sine_squared_identity_gap(table: MoebiusTable, N: int, x: float) -> float:
     if N > SQUARED_IDENTITY_LIMIT:
         raise InputError(f"squared identity check capped at N={SQUARED_IDENTITY_LIMIT}, got {N}")
     a = _sine_terms(table, x, 1, N + 1)
-    sin2 = math.sin(_TWO_PI * x)
+    sin2 = _sin_two_pi(x)
     eps = -math.pi * _fsum(a) - sin2
     lhs = sin2 * sin2 + (2.0 * sin2 * eps + eps * eps)
     pi2 = math.pi * math.pi

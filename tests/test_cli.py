@@ -387,6 +387,18 @@ def test_sine_series_at_integer_x_prints_no_negative_zero(capsys, x):
     assert {row[2] for row in rows} == {"0"}
 
 
+@pytest.mark.parametrize("x, target", [("1099511627776.25", "1"), ("1e300", "0")])
+def test_sine_series_target_reads_the_fraction_of_x(capsys, x, target):
+    # x = 2^40 + 1/4 and the integer 1e300: rounding the float 2 pi x loses
+    # part or all of the fraction that decides the sine; x mod 1 is exact
+    rc, out, _ = run_cli(
+        ["sine-series", "--x", x, "--n-max", "100", "--points", "3", "--limit", "1000"],
+        capsys,
+    )
+    assert rc == 0
+    assert {line.split(",")[3] for line in out.strip().splitlines()[1:]} == {target}
+
+
 @pytest.mark.parametrize(
     "args, cached, sieved",
     [

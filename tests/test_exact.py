@@ -7,6 +7,7 @@ its int64 and object arrays against each other at the int64 switch.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,7 +153,7 @@ def floor_sums_batch(rows):
     # the module docstring's rule for floor sums: int64 when n, a, b, c and
     # y_max + 1 of every row are at most INT64_SIZE, object arrays otherwise
     size = max(max(n, a, b, c, (a * (n - 1) + b) // c + 1) for n, a, b, c in rows)
-    f, g, h = exact._floor_sums(*np.array(rows, dtype=np.int64 if size <= S else object).T)
+    f, g, h = exact._floor_sums(list(np.array(rows, dtype=np.int64 if size <= S else object).T))
     return list(zip(f.tolist(), g.tolist(), h.tolist()))
 
 
@@ -199,7 +200,7 @@ def test_floor_sums_int64_equals_object_at_the_switch(rows):
     # the largest rows the int64 path takes, against the same lines on
     # Python ints (pinned to the literal loop above): a wrap would differ
     def run(dtype):
-        return [v.tolist() for v in exact._floor_sums(*np.array(rows, dtype=dtype).T)]
+        return [v.tolist() for v in exact._floor_sums(list(np.array(rows, dtype=dtype).T))]
 
     assert all(max(n, a, b, c, (a * (n - 1) + b) // c + 1) <= S for n, a, b, c in rows)
     assert run(np.int64) == run(object)
@@ -245,7 +246,7 @@ def test_sweep_totals_on_consecutive_fibonacci_rows(monkeypatch):
     levels = []
 
     def counted(*args, floor_sums=exact._floor_sums):
-        levels.append(len(args[0]))   # one call per level: the rows that reach it
+        levels.append(len(args[0][0]))   # one call per level: the rows that reach it
         return floor_sums(*args)
 
     monkeypatch.setattr(exact, "_floor_sums", counted)
@@ -254,6 +255,29 @@ def test_sweep_totals_on_consecutive_fibonacci_rows(monkeypatch):
     # row k takes max(k - 1, 1) levels, within log_phi(F_{k+1}) + 1 (module
     # docstring), and leaves the recursion after its last
     assert levels == [90] + list(range(88, 0, -1))
+
+
+def test_floor_sums_peak_memory_on_a_deep_chunk():
+    # 4,096 equal rows at F_27/F_28 take 26 levels on int64 arrays of
+    # 4,096 * 8 = 32,768 bytes.  Across its call a level holds five: n, m,
+    # qa, qb and live, so 26 levels hold 130 arrays, 4.26 MB.  The level
+    # at work adds its own temporaries: its reduced a and b, c, the four
+    # live arguments, f, g, h and the swapped sums, about 13 arrays; the
+    # bound allows 16, 4.78 MB in all.  A level whose caller kept its four
+    # arguments across the call, as a star-argument call does, peaks at
+    # 6.98 MB here, and one that also kept a, b, c and three zero arrays
+    # at 11.15 MB.
+    rows, size = 4096, 4096 * 8
+    args = [np.full(rows, v, dtype=np.int64) for v in (FIB[28], FIB[27], 0, FIB[28])]
+    tracemalloc.start()
+    try:
+        f, g, h = exact._floor_sums(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert args == []
+    assert (f[0], g[0], h[0]) == literal_floor_sums(FIB[28], FIB[27], 0, FIB[28])
+    assert peak <= (5 * 26 + 16) * size, f"{peak / size:.1f} row arrays at peak"
 
 
 def test_batch_longer_than_a_chunk(monkeypatch):

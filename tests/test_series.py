@@ -89,7 +89,7 @@ def test_sine_series_partials_run_the_kernel_once_per_chunk(table6):
     with mock.patch.object(arithmetic, "_exact_prefixes", wraps=arithmetic._exact_prefixes) as kernel:
         got = fraclab.sine_series_partials(table6, Ns, x)
     assert kernel.call_count == 3
-    assert bits(got[::97]) == bits(oracle_sine_partials(table6, Ns, x)[::97])
+    assert bits(got[::97]) == bits(oracle_sine_partials(table6, Ns[::97], x))
 
 
 def test_sine_series_partials_validation(table4):
